@@ -44,9 +44,8 @@ Quickstart — everything runs through ``run()``::
         print(rep.scenario, rep.latency_p95_s)
 
 Scenarios serialize (``Scenario.to_dict`` / ``from_dict`` / ``save`` /
-``load``), so ``repro run --scenario file.json`` reproduces any run.  The
-older ``simulate_*`` entry points still work but are deprecated shims
-over this facade's implementations.
+``load``), so ``repro run --scenario file.json`` reproduces any run.
+``run()`` is the one way in to the serving, online and fleet simulators.
 
 Static analysis — the simulator's invariants are machine-checked::
 
@@ -105,23 +104,17 @@ from repro.engine import (
     make_arrivals,
     make_decode_workload,
     make_drift_scenario,
-    simulate_cluster_serving,
     simulate_inference,
     simulate_inference_reference,
-    simulate_online_cluster_serving,
-    simulate_serving,
 )
 from repro.fleet import (
     FleetRequest,
     FleetResult,
     flash_crowd_arrivals,
     make_router,
-    simulate_fleet_cluster_serving,
-    simulate_fleet_serving,
 )
 from repro.model import MoETransformer, generate
 from repro.obs import (
-    NullRecorder,
     PhaseProfiler,
     SignalDetector,
     SloSpec,
@@ -203,23 +196,17 @@ __all__ = [
     "make_arrivals",
     "make_decode_workload",
     "make_drift_scenario",
-    "simulate_cluster_serving",
     "simulate_inference",
     "simulate_inference_reference",
-    "simulate_online_cluster_serving",
-    "simulate_serving",
     # fleet
     "FleetRequest",
     "FleetResult",
     "flash_crowd_arrivals",
     "make_router",
-    "simulate_fleet_cluster_serving",
-    "simulate_fleet_serving",
     # model
     "MoETransformer",
     "generate",
     # obs (telemetry + SLO monitoring)
-    "NullRecorder",
     "PhaseProfiler",
     "SignalDetector",
     "SloSpec",

@@ -47,14 +47,10 @@ from repro.engine.serving import (
     make_arrivals,
     poisson_arrivals,
     bursty_arrivals,
-    simulate_serving,
     engine_step_time,
-    simulate_cluster_serving,
     PlacementStepTimer,
     KeptSample,
     OnlineServingResult,
-    simulate_online_serving,
-    simulate_online_cluster_serving,
 )
 
 __all__ = [
@@ -82,12 +78,8 @@ __all__ = [
     "make_arrivals",
     "poisson_arrivals",
     "bursty_arrivals",
-    "simulate_serving",
     "engine_step_time",
-    "simulate_cluster_serving",
     "PlacementStepTimer",
     "KeptSample",
     "OnlineServingResult",
-    "simulate_online_serving",
-    "simulate_online_cluster_serving",
 ]

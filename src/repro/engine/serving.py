@@ -11,7 +11,7 @@ Three pieces compose:
   traffic) and :func:`bursty_arrivals` (a two-state Markov-modulated
   Poisson process: flash-crowd bursts at ``burst_factor`` times the base
   rate, with the calm state slowed so the long-run mean rate is preserved).
-* **Continuous batching** — :func:`simulate_serving` runs the iteration-
+* **Continuous batching** — :func:`_simulate_serving` runs the iteration-
   level scheduler production MoE servers use: one global decode batch;
   waiting requests join at step boundaries whenever a slot is free, and
   finished requests leave immediately (no head-of-line blocking on the
@@ -22,15 +22,19 @@ Three pieces compose:
   each decode step with the full placement-aware compute + collective cost
   model rather than a made-up constant.
 
-:func:`simulate_cluster_serving` wires all three together from a
-:class:`~repro.config.ServingConfig`.
+:func:`_simulate_cluster_serving` wires all three together from a
+:class:`~repro.config.ServingConfig`.  :func:`_simulate_online_serving`
+opens the step cost up for drifting routing and live re-placement, and
+:func:`_simulate_online_cluster_serving` wires it from a config.  The
+public way in to all of them is :func:`repro.run` with a ``serving`` or
+``online`` Scenario; the underscore functions are its implementations.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -52,7 +56,6 @@ from repro.core.online import (
 from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
-from repro.deprecation import deprecated_entry_point
 from repro.engine.costs import CostModel
 from repro.engine.executor import simulate_inference
 from repro.engine.metrics import LatencyStats
@@ -62,7 +65,7 @@ from repro.engine.workload import (
     make_decode_workload,
     make_drift_scenario,
 )
-from repro.obs.recorder import MetricsRecorder
+from repro.obs.recorder import MetricsRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
 
 __all__ = [
@@ -72,14 +75,10 @@ __all__ = [
     "poisson_arrivals",
     "bursty_arrivals",
     "make_arrivals",
-    "simulate_serving",
     "engine_step_time",
-    "simulate_cluster_serving",
     "PlacementStepTimer",
     "KeptSample",
     "OnlineServingResult",
-    "simulate_online_serving",
-    "simulate_online_cluster_serving",
 ]
 
 
@@ -221,6 +220,7 @@ def _simulate_serving(
     step_time: Callable[[int], float],
     max_batch_requests: int = 64,
     recorder: MetricsRecorder | None = None,
+    meta: Mapping[str, float] | None = None,
 ) -> ServingResult:
     """Serve ``requests`` with iteration-level continuous batching.
 
@@ -235,7 +235,9 @@ def _simulate_serving(
     An attached ``recorder`` observes the run as a one-replica fleet
     (replica 0, regime 0, always active): enqueue at each arrival, free
     admission at each step boundary, step and completion hooks as the
-    batch advances.  Recording never changes scheduling or float order.
+    batch advances; ``meta`` is its ``on_run_start`` meta (see
+    :func:`~repro.obs.recorder.run_meta`).  Recording never changes
+    scheduling or float order.
 
     Returns the full :class:`ServingResult`, including p50/p95/p99 latency
     and queueing statistics.
@@ -261,7 +263,7 @@ def _simulate_serving(
     arrivals = list(pending) if recorder is not None else []
     enq_ptr = 0
     if recorder is not None:
-        recorder.on_run_start(first_arrival, {})
+        recorder.on_run_start(first_arrival, meta or {})
         recorder.on_replica_start(first_arrival, 0, 0, False, first_arrival, first_arrival)
 
     while pending or active:
@@ -323,11 +325,6 @@ def _simulate_serving(
         generated_tokens=tokens,
         mean_batch_size=weighted_batch / busy if busy > 0 else 0.0,
     )
-
-
-simulate_serving = deprecated_entry_point("repro.run() with a serving Scenario")(
-    _simulate_serving
-)
 
 
 # -- engine-calibrated step costs ---------------------------------------------
@@ -464,12 +461,8 @@ def _simulate_cluster_serving(
         step,
         max_batch_requests=serving.max_batch_requests,
         recorder=recorder,
+        meta=run_meta(cluster),
     )
-
-
-simulate_cluster_serving = deprecated_entry_point(
-    "repro.run() with a serving Scenario"
-)(_simulate_cluster_serving)
 
 
 # -- online drift-aware serving -----------------------------------------------
@@ -699,7 +692,7 @@ def _simulate_online_serving(
 ) -> OnlineServingResult:
     """Continuous batching under drifting routing, with live re-placement.
 
-    The loop is :func:`simulate_serving`'s scheduler with the step-cost
+    The loop is :func:`_simulate_serving`'s scheduler with the step-cost
     abstraction opened up: each decode step samples the active batch's
     expert paths from ``drift.model_at(now)``, prices the step with a
     :class:`PlacementStepTimer` under the *current* placement, streams the
@@ -843,11 +836,6 @@ def _simulate_online_serving(
     )
 
 
-simulate_online_serving = deprecated_entry_point(
-    "repro.run() with an online Scenario (drift/replacement sections)"
-)(_simulate_online_serving)
-
-
 def _simulate_online_cluster_serving(
     model: ModelConfig,
     cluster: ClusterConfig,
@@ -926,8 +914,3 @@ def _simulate_online_cluster_serving(
         sample_every_steps=4,
         rng=np.random.default_rng(serving.seed + 2),
     )
-
-
-simulate_online_cluster_serving = deprecated_entry_point(
-    "repro.run() with an online Scenario (drift/replacement sections)"
-)(_simulate_online_cluster_serving)

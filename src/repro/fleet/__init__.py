@@ -51,6 +51,7 @@ from repro.fleet.requests import (
     flash_crowd_arrivals,
     make_fleet_requests,
 )
+from repro.fleet.result import FleetResult
 from repro.fleet.router import (
     AffinityRouter,
     JoinShortestQueueRouter,
@@ -59,11 +60,6 @@ from repro.fleet.router import (
     RoundRobinRouter,
     Router,
     make_router,
-)
-from repro.fleet.simulate import (
-    FleetResult,
-    simulate_fleet_cluster_serving,
-    simulate_fleet_serving,
 )
 
 __all__ = [
@@ -92,8 +88,6 @@ __all__ = [
     "Router",
     "make_router",
     "FleetResult",
-    "simulate_fleet_cluster_serving",
     "simulate_fleet_reference",
-    "simulate_fleet_serving",
     "simulate_fleet_tick",
 ]

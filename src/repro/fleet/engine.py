@@ -71,7 +71,6 @@ from repro.fleet.requests import (
     ShedRecord,
 )
 from repro.fleet.result import (
-    FleetObs,
     FleetResult,
     finalize_fleet_result,
     sample_paths_grouped,
@@ -90,7 +89,7 @@ from repro.fleet.router import (
     rr_positions,
 )
 from repro.obs.profile import PhaseProfiler
-from repro.obs.recorder import MetricsRecorder
+from repro.obs.recorder import MetricsRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
 
 __all__ = ["simulate_fleet_tick"]
@@ -234,10 +233,10 @@ class _TickFleet:
         self.first_arrival = float(self.arr_t[0])
 
         # -- telemetry (observation-only; hooks shared with the oracle) --------
-        self.obs = FleetObs(recorder) if recorder is not None else None
+        self.rec = recorder
         self.profiler = profiler
-        if self.obs is not None:
-            self.obs.run_start(self.first_arrival, cluster)
+        if self.rec is not None:
+            self.rec.on_run_start(self.first_arrival, run_meta(cluster))
 
         # -- outcome ledgers ---------------------------------------------------
         self.comp_i: list[int] = []
@@ -385,9 +384,9 @@ class _TickFleet:
         self.num_replicas = rid + 1
         if state == _BOOTING:
             self.n_booting += 1
-        if self.obs is not None:
+        if self.rec is not None:
             billed = float(self.billed_from[rid])
-            self.obs.replica_start(billed, rid, regime, state == _BOOTING, booted_at, billed)
+            self.rec.on_replica_start(billed, rid, regime, state == _BOOTING, booted_at, billed)
         return rid
 
     def _kept_row(self, placement: Placement) -> np.ndarray:
@@ -441,8 +440,8 @@ class _TickFleet:
         ):
             self.state[rid] = _STOPPED
             self.stopped_at[rid] = t
-            if self.obs is not None:
-                self.obs.stop(t, rid)
+            if self.rec is not None:
+                self.rec.on_stop(t, rid)
 
     def _start_step(self, rid: int, t: float) -> None:
         """Admit at the boundary and launch one decode step (or go idle)."""
@@ -499,8 +498,8 @@ class _TickFleet:
             adm = self.timer.admission_time(homes, self.prompt[popped])
             if profiler is not None:
                 profiler.add("pricing", perf_counter() - _pt)
-            if self.obs is not None:
-                self.obs.admit(
+            if self.rec is not None:
+                self.rec.on_admit(
                     t, rid, [self.reqs[i].req_id for i in popped.tolist()], adm
                 )
             if adm > 0:
@@ -552,8 +551,8 @@ class _TickFleet:
         self.weighted[rid] += n * dt
         est = float(self.est_step[rid])
         self.est_step[rid] = dt if est != est else est + _STEP_EWMA_ALPHA * (dt - est)
-        if self.obs is not None:
-            self.obs.step_end(t, rid, dt, n)
+        if self.rec is not None:
+            self.rec.on_step_end(t, rid, dt, n)
         toks = self.act_tok[rid, :n]
         toks -= 1
         self.act_gen[rid, :n] += 1
@@ -568,13 +567,13 @@ class _TickFleet:
             self.served[rid] += m
             self.done += m
             self.load[rid] -= m
-            if self.obs is not None:
+            if self.rec is not None:
                 adm_rows = self.act_adm[rid, fidx].tolist()
                 for ri, adm_s in zip(
                     self.act_req[rid, fidx].tolist(), adm_rows, strict=True
                 ):
                     q = self.reqs[ri]
-                    self.obs.complete(t, rid, q.req_id, q.arrival_s, adm_s, q.generate_len)
+                    self.rec.on_complete(t, rid, q.req_id, q.arrival_s, adm_s, q.generate_len)
             keep = np.flatnonzero(~fin)
             kn = keep.size
             if kn:
@@ -604,14 +603,14 @@ class _TickFleet:
         self.n_booting -= 1
         self._refresh_routable()
         self.peak_routable = max(self.peak_routable, int(self.routable_ids.size))
-        if self.obs is not None:
-            self.obs.boot_ready(t, rid)
+        if self.rec is not None:
+            self.rec.on_boot_ready(t, rid)
         info = self.recovery_for.pop(rid, None)
         if info is not None:
             idx, cold_s = info
             self.fail_rec[idx] = t
-            if self.obs is not None:
-                self.obs.recover(t, rid, self.fail_rid[idx], cold_s)
+            if self.rec is not None:
+                self.rec.on_recover(t, rid, self.fail_rid[idx], cold_s)
 
     def _migrate_queued(self, victim: int, t: float) -> None:
         """Re-route a draining replica's queued requests (oracle semantics)."""
@@ -621,21 +620,21 @@ class _TickFleet:
             return
         self.queue_len[victim] = 0
         self.load[victim] -= orphans.size
-        if self.obs is not None:
-            self.obs.requeue(t, victim, int(orphans.size))
+        if self.rec is not None:
+            self.rec.on_requeue(t, victim, int(orphans.size))
         cap = self.fleet.max_queue_per_replica
         for i in orphans.tolist():
             rids = self.routable_ids
             targets = rids[self.queue_len[rids] < cap]
             if targets.size == 0:
                 self._enqueue(i, victim)  # nowhere with room: drain in place
-                if self.obs is not None:
-                    self.obs.enqueue(t, victim, self.reqs[i].req_id)
+                if self.rec is not None:
+                    self.rec.on_enqueue(t, victim, self.reqs[i].req_id)
                 continue
             rid = self._choose_one(i, targets)
             self._enqueue(i, rid)
-            if self.obs is not None:
-                self.obs.enqueue(t, rid, self.reqs[i].req_id)
+            if self.rec is not None:
+                self.rec.on_enqueue(t, rid, self.reqs[i].req_id)
             if not self.stepping[rid]:
                 self._start_step(rid, t)
 
@@ -654,8 +653,8 @@ class _TickFleet:
             heapq.heappush(
                 self.pending, (t + delay, self._next_seq(), _CH_RETRY, req_idx)
             )
-            if self.obs is not None:
-                self.obs.retry(t, q.req_id, rid, n, delay, was_active)
+            if self.rec is not None:
+                self.rec.on_retry(t, q.req_id, rid, n, delay, was_active)
         else:
             self.lost_i.append(req_idx)
             self.lost_time.append(t)
@@ -663,8 +662,8 @@ class _TickFleet:
             self.lost_att.append(n)
             self.lost_reason.append(reason)
             self.done += 1
-            if self.obs is not None:
-                self.obs.lost(t, q.req_id, rid, n, reason, was_active)
+            if self.rec is not None:
+                self.rec.on_lost(t, q.req_id, rid, n, reason, was_active)
 
     def _open_failure(self, t: float, rid: int, kind: str) -> int:
         self.fail_time.append(t)
@@ -692,8 +691,8 @@ class _TickFleet:
         self.stepping[rid] = False
         self.next_step_t[rid] = _INF
         self._refresh_routable()
-        if self.obs is not None:
-            self.obs.fail(t, rid, kind, n, len(doomed_queued))
+        if self.rec is not None:
+            self.rec.on_fail(t, rid, kind, n, len(doomed_queued))
         for i in doomed_active:
             self._fail_attempt(i, t, rid, kind, was_active=True)
         for i in doomed_queued:
@@ -734,8 +733,8 @@ class _TickFleet:
         idx = self._open_failure(t, rid, "preempt")
         self.state[rid] = _DRAINING
         self._refresh_routable()
-        if self.obs is not None:
-            self.obs.preempt(t, rid, p.grace_s)
+        if self.rec is not None:
+            self.rec.on_preempt(t, rid, p.grace_s)
         if self.fleet.migrate_on_drain:
             self._migrate_queued(rid, t)
         self._finish_if_drained(rid, t)
@@ -760,8 +759,8 @@ class _TickFleet:
             self.shed_reason.append("no-capacity")
             self.shed_rid.append(None)
             self.done += 1
-            if self.obs is not None:
-                self.obs.shed(t, q.req_id, None, "no-capacity")
+            if self.rec is not None:
+                self.rec.on_shed(t, q.req_id, None, "no-capacity")
             return
         rid = self._choose_one(i, rids)
         ql = int(self.queue_len[rid])
@@ -785,12 +784,12 @@ class _TickFleet:
             self.shed_reason.append(reason)
             self.shed_rid.append(rid)
             self.done += 1
-            if self.obs is not None:
-                self.obs.shed(t, q.req_id, rid, reason)
+            if self.rec is not None:
+                self.rec.on_shed(t, q.req_id, rid, reason)
             return
         self._enqueue(i, rid)
-        if self.obs is not None:
-            self.obs.enqueue(t, rid, q.req_id)
+        if self.rec is not None:
+            self.rec.on_enqueue(t, rid, q.req_id)
         if not self.stepping[rid]:
             self._start_step(rid, t)
 
@@ -851,15 +850,15 @@ class _TickFleet:
                 ScaleEvent(t, "up", per, int(live.size) + booting,
                            int(live.size) + booting + 1, cold.total_s)
             )
-            if self.obs is not None:
-                self.obs.scale(t, "up", per, int(live.size) + booting,
+            if self.rec is not None:
+                self.rec.on_scale(t, "up", per, int(live.size) + booting,
                                int(live.size) + booting + 1, cold.total_s)
         elif decision == "down":
             victim = int(live[np.argmin(self.load[live])])
             self.state[victim] = _DRAINING
             self._refresh_routable()
-            if self.obs is not None:
-                self.obs.drain(t, victim)
+            if self.rec is not None:
+                self.rec.on_drain(t, victim)
             if self.fleet.migrate_on_drain:
                 self._migrate_queued(victim, t)
             self._finish_if_drained(victim, t)
@@ -867,8 +866,8 @@ class _TickFleet:
                 ScaleEvent(t, "down", per, int(live.size) + booting,
                            int(live.size) + booting - 1, 0.0)
             )
-            if self.obs is not None:
-                self.obs.scale(t, "down", per, int(live.size) + booting,
+            if self.rec is not None:
+                self.rec.on_scale(t, "down", per, int(live.size) + booting,
                                int(live.size) + booting - 1, 0.0)
         if self.done < self.total:
             self.scale_t = t + self.fleet.autoscale_check_every_s
@@ -888,11 +887,11 @@ class _TickFleet:
             SHED_REASONS[int(c)] or "" for c in codes.tolist()
         )
         self.done += hi - lo
-        if self.obs is not None:
+        if self.rec is not None:
             for i, rid, c in zip(
                 range(lo, hi), chosen.tolist(), codes.tolist(), strict=True
             ):
-                self.obs.shed(
+                self.rec.on_shed(
                     float(self.arr_t[i]),
                     self.reqs[i].req_id,
                     int(rid),
@@ -939,8 +938,8 @@ class _TickFleet:
         if first < k:
             rid = int(chosen[first])
             self._enqueue(cur + first, rid)
-            if self.obs is not None:
-                self.obs.enqueue(
+            if self.rec is not None:
+                self.rec.on_enqueue(
                     float(self.arr_t[cur + first]), rid, self.reqs[cur + first].req_id
                 )
             consumed += 1
@@ -964,7 +963,7 @@ class _TickFleet:
         mb = self.max_batch
         slack = self.admission.shed_slack
         qcap = self.admission.max_queue_per_replica
-        obs = self.obs
+        rec = self.rec
         profiler = self.profiler
         i = cur
         while i < hi:
@@ -987,8 +986,8 @@ class _TickFleet:
                 self.shed_reason.append("queue-full")
                 self.shed_rid.append(rid)
                 self.done += 1
-                if obs is not None:
-                    obs.shed(float(self.arr_t[i]), self.reqs[i].req_id, rid, "queue-full")
+                if rec is not None:
+                    rec.on_shed(float(self.arr_t[i]), self.reqs[i].req_id, rid, "queue-full")
             else:
                 e = float(est[rid])
                 gen = int(self.gen_len[i])
@@ -1001,12 +1000,12 @@ class _TickFleet:
                     self.shed_reason.append("deadline")
                     self.shed_rid.append(rid)
                     self.done += 1
-                    if obs is not None:
-                        obs.shed(float(self.arr_t[i]), self.reqs[i].req_id, rid, "deadline")
+                    if rec is not None:
+                        rec.on_shed(float(self.arr_t[i]), self.reqs[i].req_id, rid, "deadline")
                 else:
                     self._enqueue(i, rid)
-                    if obs is not None:
-                        obs.enqueue(float(self.arr_t[i]), rid, self.reqs[i].req_id)
+                    if rec is not None:
+                        rec.on_enqueue(float(self.arr_t[i]), rid, self.reqs[i].req_id)
                     if not self.stepping[rid]:
                         self._start_step(rid, float(self.arr_t[i]))
                         return i + 1, True
@@ -1031,9 +1030,9 @@ class _TickFleet:
                 self.shed_reason.extend(["no-capacity"] * (hi - cur))
                 self.shed_rid.extend([None] * (hi - cur))
                 self.done += hi - cur
-                if self.obs is not None:
+                if self.rec is not None:
                     for i in range(cur, hi):
-                        self.obs.shed(
+                        self.rec.on_shed(
                             float(self.arr_t[i]), self.reqs[i].req_id, None, "no-capacity"
                         )
                 cur = hi
@@ -1157,7 +1156,7 @@ class _TickFleet:
             self.admission,
             self.peak_routable,
             self.cluster,
-            obs=self.obs,
+            rec=self.rec,
             failures=failures,
             lost=lost,
             retries=self.retries,

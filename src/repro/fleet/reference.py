@@ -6,7 +6,7 @@ correctness reference for the vectorized tick engine
 :mod:`repro.engine.reference` has to :mod:`repro.engine.executor`.  Each
 replica runs the same continuous-batching semantics as the
 single-replica online loop
-(:func:`~repro.engine.serving.simulate_online_serving`): admissions happen
+(:func:`~repro.engine.serving._simulate_online_serving`): admissions happen
 at step boundaries, every decode step is priced by a
 :class:`~repro.engine.serving.PlacementStepTimer` from that step's sampled
 routing under the replica's *current* placement, and coherent modes pay
@@ -62,7 +62,6 @@ from repro.fleet.requests import (
     ShedRecord,
 )
 from repro.fleet.result import (
-    FleetObs,
     FleetResult,
     finalize_fleet_result,
     sample_paths_grouped,
@@ -70,7 +69,7 @@ from repro.fleet.result import (
 )
 from repro.fleet.router import Router, make_router
 from repro.obs.profile import PhaseProfiler
-from repro.obs.recorder import MetricsRecorder
+from repro.obs.recorder import MetricsRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
 
 __all__ = ["simulate_fleet_reference"]
@@ -119,9 +118,9 @@ def simulate_fleet_reference(
     uses ``replace_policy`` and a streaming estimator with
     ``replace_halflife_tokens`` (defaults when ``None``).
 
-    ``recorder`` attaches observation-only telemetry (hooks driven through
-    the shared :class:`~repro.fleet.result.FleetObs` adapter, so the tick
-    engine reports the identical stream); ``profiler`` accumulates the
+    ``recorder`` attaches observation-only telemetry (the tick engine calls
+    the same hooks with the same arguments, so it reports the identical
+    stream); ``profiler`` accumulates the
     wall-time phase split (routing / admission / pricing / bookkeeping).
     Neither perturbs the simulation.
     """
@@ -145,7 +144,7 @@ def simulate_fleet_reference(
     if not reqs:
         return FleetResult((), (), empty_stats, empty_stats, 0.0, (), (), {})
 
-    obs = FleetObs(recorder) if recorder is not None else None
+    rec = recorder
     replicas: list[Replica] = []
 
     def new_replica(
@@ -179,8 +178,8 @@ def simulate_fleet_reference(
             billed_from_s=billed_from,
         )
         replicas.append(r)
-        if obs is not None:
-            obs.replica_start(
+        if rec is not None:
+            rec.on_replica_start(
                 billed_from if billed_from is not None else booted_at,
                 r.replica_id,
                 regime,
@@ -191,8 +190,8 @@ def simulate_fleet_reference(
         return r
 
     first_arrival = reqs[0].arrival_s
-    if obs is not None:
-        obs.run_start(first_arrival, cluster)
+    if rec is not None:
+        rec.on_run_start(first_arrival, run_meta(cluster))
     for i in range(fleet.num_replicas):
         new_replica(i % len(regimes), ReplicaState.RUNNING, first_arrival)
 
@@ -246,8 +245,8 @@ def simulate_fleet_reference(
         if r.state is ReplicaState.DRAINING and r.drained:
             r.transition_to(ReplicaState.STOPPED)
             r.stopped_at_s = t
-            if obs is not None:
-                obs.stop(t, r.replica_id)
+            if rec is not None:
+                rec.on_stop(t, r.replica_id)
 
     def start_step(r: Replica, t: float) -> None:
         """Admit at the boundary and launch one decode step (or go idle)."""
@@ -269,8 +268,8 @@ def simulate_fleet_reference(
             )
             if profiler is not None:
                 profiler.add("pricing", perf_counter() - _pt)
-            if obs is not None:
-                obs.admit(t, r.replica_id, [e.request.req_id for e in newly], adm)
+            if rec is not None:
+                rec.on_admit(t, r.replica_id, [e.request.req_id for e in newly], adm)
             if adm > 0:
                 t += adm
                 r.note_admission(adm)
@@ -310,8 +309,8 @@ def simulate_fleet_reference(
             # rather than queueing on a replica that may never come up
             shed.append(ShedRecord(q, t, "no-capacity", None))
             done += 1
-            if obs is not None:
-                obs.shed(t, q.req_id, None, "no-capacity")
+            if rec is not None:
+                rec.on_shed(t, q.req_id, None, "no-capacity")
             return
         _pt = perf_counter() if profiler is not None else 0.0
         r = router.choose(q, cands, rng)
@@ -324,12 +323,12 @@ def simulate_fleet_reference(
         if reason is not None:
             shed.append(ShedRecord(q, t, reason, r.replica_id))
             done += 1
-            if obs is not None:
-                obs.shed(t, q.req_id, r.replica_id, reason)
+            if rec is not None:
+                rec.on_shed(t, q.req_id, r.replica_id, reason)
             return
         r.enqueue(q)
-        if obs is not None:
-            obs.enqueue(t, r.replica_id, q.req_id)
+        if rec is not None:
+            rec.on_enqueue(t, r.replica_id, q.req_id)
         if not r.stepping:
             start_step(r, t)
 
@@ -337,8 +336,8 @@ def simulate_fleet_reference(
         nonlocal done
         batch = len(r.active)
         r.note_step(dt, batch)
-        if obs is not None:
-            obs.step_end(t, r.replica_id, dt, batch)
+        if rec is not None:
+            rec.on_step_end(t, r.replica_id, dt, batch)
         still: list[ActiveEntry] = []
         for e in r.active:
             e.tokens_remaining -= 1
@@ -349,8 +348,8 @@ def simulate_fleet_reference(
                 )
                 r.served += 1
                 done += 1
-                if obs is not None:
-                    obs.complete(
+                if rec is not None:
+                    rec.on_complete(
                         t,
                         r.replica_id,
                         e.request.req_id,
@@ -387,8 +386,8 @@ def simulate_fleet_reference(
         orphans = victim.take_queued()
         if not orphans:
             return
-        if obs is not None:
-            obs.requeue(t, victim.replica_id, len(orphans))
+        if rec is not None:
+            rec.on_requeue(t, victim.replica_id, len(orphans))
         for q in orphans:
             # victim is already DRAINING, hence excluded from routable()
             targets = [
@@ -396,13 +395,13 @@ def simulate_fleet_reference(
             ]
             if not targets:
                 victim.enqueue(q)  # nowhere with room: drain it in place
-                if obs is not None:
-                    obs.enqueue(t, victim.replica_id, q.req_id)
+                if rec is not None:
+                    rec.on_enqueue(t, victim.replica_id, q.req_id)
                 continue
             target = router.choose(q, targets, rng)
             target.enqueue(q)
-            if obs is not None:
-                obs.enqueue(t, target.replica_id, q.req_id)
+            if rec is not None:
+                rec.on_enqueue(t, target.replica_id, q.req_id)
             if not target.stepping:
                 start_step(target, t)
 
@@ -416,13 +415,13 @@ def simulate_fleet_reference(
             delay = retry_pol.backoff_s(n)
             retries += 1
             push(t + delay, "retry", q)
-            if obs is not None:
-                obs.retry(t, q.req_id, rid, n, delay, was_active)
+            if rec is not None:
+                rec.on_retry(t, q.req_id, rid, n, delay, was_active)
         else:
             lost.append(LostRecord(q, t, rid, n, reason))
             done += 1
-            if obs is not None:
-                obs.lost(t, q.req_id, rid, n, reason, was_active)
+            if rec is not None:
+                rec.on_lost(t, q.req_id, rid, n, reason, was_active)
 
     def kill_replica(r: Replica, t: float, kind: str, failure_idx: int) -> None:
         """Hard-stop ``r`` now: in-flight batch and queue are destroyed.
@@ -441,8 +440,8 @@ def simulate_fleet_reference(
         r.stopped_at_s = t
         r.stepping = False
         r.epoch += 1
-        if obs is not None:
-            obs.fail(t, r.replica_id, kind, len(doomed_active), len(doomed_queued))
+        if rec is not None:
+            rec.on_fail(t, r.replica_id, kind, len(doomed_active), len(doomed_queued))
         for q in doomed_active:
             fail_attempt(q, t, r.replica_id, kind, was_active=True)
         for q in doomed_queued:
@@ -491,8 +490,8 @@ def simulate_fleet_reference(
             return
         idx = open_failure(t, p.replica, "preempt")
         r.transition_to(ReplicaState.DRAINING)
-        if obs is not None:
-            obs.preempt(t, p.replica, p.grace_s)
+        if rec is not None:
+            rec.on_preempt(t, p.replica, p.grace_s)
         if fleet.migrate_on_drain:
             migrate_queued(r, t)
         finish_if_drained(r, t)
@@ -543,14 +542,14 @@ def simulate_fleet_reference(
                 ScaleEvent(t, "up", per, len(live) + len(booting),
                            len(live) + len(booting) + 1, cold.total_s)
             )
-            if obs is not None:
-                obs.scale(t, "up", per, len(live) + len(booting),
+            if rec is not None:
+                rec.on_scale(t, "up", per, len(live) + len(booting),
                           len(live) + len(booting) + 1, cold.total_s)
         elif decision == "down":
             victim = min(live, key=lambda r: (r.load, r.replica_id))
             victim.transition_to(ReplicaState.DRAINING)
-            if obs is not None:
-                obs.drain(t, victim.replica_id)
+            if rec is not None:
+                rec.on_drain(t, victim.replica_id)
             if fleet.migrate_on_drain:
                 migrate_queued(victim, t)
             finish_if_drained(victim, t)
@@ -558,8 +557,8 @@ def simulate_fleet_reference(
                 ScaleEvent(t, "down", per, len(live) + len(booting),
                            len(live) + len(booting) - 1, 0.0)
             )
-            if obs is not None:
-                obs.scale(t, "down", per, len(live) + len(booting),
+            if rec is not None:
+                rec.on_scale(t, "down", per, len(live) + len(booting),
                           len(live) + len(booting) - 1, 0.0)
         if done < total:
             push(t + fleet.autoscale_check_every_s, "scale", None)
@@ -579,14 +578,14 @@ def simulate_fleet_reference(
             r = cast(Replica, data)
             r.transition_to(ReplicaState.RUNNING)
             peak_routable = max(peak_routable, len(routable()))
-            if obs is not None:
-                obs.boot_ready(t, r.replica_id)
+            if rec is not None:
+                rec.on_boot_ready(t, r.replica_id)
             rec_info = recovery_for.pop(r.replica_id, None)
             if rec_info is not None:
                 idx, cold_s = rec_info
                 fail_rec[idx] = t
-                if obs is not None:
-                    obs.recover(t, r.replica_id, fail_rid[idx], cold_s)
+                if rec is not None:
+                    rec.on_recover(t, r.replica_id, fail_rid[idx], cold_s)
         elif kind == "scale" and autoscaler is not None and done < total:
             on_scale(t)
         elif kind == "crash":
@@ -619,7 +618,7 @@ def simulate_fleet_reference(
         admission,
         peak_routable,
         cluster,
-        obs=obs,
+        rec=rec,
         failures=failures,
         lost=lost,
         retries=retries,

@@ -15,13 +15,12 @@ written once and called by both:
   clamping to the last regime);
 * :func:`finalize_fleet_result` — the result epilogue (makespan, latency
   percentiles, per-class SLO attainment over offered traffic, GPU-hour
-  billing), identical accumulation order for both engines;
-* :class:`FleetObs` — the one telemetry adapter both engines drive.  Each
-  lifecycle hook has a single definition here, so the two engines cannot
-  diverge in what they report: attach the same recorder to an oracle run
-  and a tick run and the recorded timelines are identical, event for
-  event.  Hooks are observation-only — they never draw rng samples or
-  perturb simulated floats.
+  billing), identical accumulation order for both engines.
+
+Telemetry needs no adapter: both engines call the
+:class:`~repro.obs.recorder.MetricsRecorder` hooks directly, with the same
+arguments in the same order, so one recorder attached to an oracle run
+and a tick run records identical timelines, event for event.
 """
 
 from __future__ import annotations
@@ -49,105 +48,10 @@ from repro.trace.markov import MarkovRoutingModel
 
 __all__ = [
     "FleetResult",
-    "FleetObs",
     "sample_paths_grouped",
     "validate_fleet_inputs",
     "finalize_fleet_result",
 ]
-
-
-class FleetObs:
-    """Telemetry hook adapter shared verbatim by both fleet engines.
-
-    Engines hold ``obs: FleetObs | None`` and guard every call with
-    ``if obs is not None`` — with no recorder attached the simulators pay
-    nothing.  The adapter translates engine state into the primitive
-    :class:`repro.obs.recorder.MetricsRecorder` hook arguments in exactly
-    one place, which is what keeps the oracle and the tick engine's
-    recorded streams identical (the equivalence suite asserts it).
-    """
-
-    __slots__ = ("rec",)
-
-    def __init__(self, rec: MetricsRecorder) -> None:
-        self.rec = rec
-
-    def run_start(self, first_arrival: float, cluster: ClusterConfig) -> None:
-        self.rec.on_run_start(
-            first_arrival,
-            {"num_gpus": float(cluster.num_gpus), "gpu_hour_usd": float(cluster.gpu_hour_usd)},
-        )
-
-    def replica_start(
-        self, t: float, rid: int, regime: int, booting: bool, ready_s: float, billed_from_s: float
-    ) -> None:
-        self.rec.on_replica_start(t, rid, regime, booting, ready_s, billed_from_s)
-
-    def boot_ready(self, t: float, rid: int) -> None:
-        self.rec.on_boot_ready(t, rid)
-
-    def drain(self, t: float, rid: int) -> None:
-        self.rec.on_drain(t, rid)
-
-    def stop(self, t: float, rid: int) -> None:
-        self.rec.on_stop(t, rid)
-
-    def enqueue(self, t: float, rid: int, req_id: int) -> None:
-        self.rec.on_enqueue(t, rid, req_id)
-
-    def requeue(self, t: float, rid: int, count: int) -> None:
-        self.rec.on_requeue(t, rid, count)
-
-    def shed(self, t: float, req_id: int, rid: int | None, reason: str) -> None:
-        self.rec.on_shed(t, req_id, rid, reason)
-
-    def admit(self, t: float, rid: int, req_ids: Sequence[int], admission_s: float) -> None:
-        self.rec.on_admit(t, rid, req_ids, admission_s)
-
-    def step_end(self, t: float, rid: int, step_s: float, batch: int) -> None:
-        self.rec.on_step_end(t, rid, step_s, batch)
-
-    def complete(
-        self, t: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
-    ) -> None:
-        self.rec.on_complete(t, rid, req_id, arrival_s, admitted_s, tokens)
-
-    def scale(
-        self,
-        t: float,
-        direction: str,
-        queue_per_replica: float,
-        replicas_before: int,
-        replicas_after: int,
-        cold_start_s: float,
-    ) -> None:
-        self.rec.on_scale(
-            t, direction, queue_per_replica, replicas_before, replicas_after, cold_start_s
-        )
-
-    # -- chaos hooks -----------------------------------------------------------
-
-    def preempt(self, t: float, rid: int, grace_s: float) -> None:
-        self.rec.on_preempt(t, rid, grace_s)
-
-    def fail(self, t: float, rid: int, kind: str, lost_active: int, lost_queued: int) -> None:
-        self.rec.on_fail(t, rid, kind, lost_active, lost_queued)
-
-    def retry(
-        self, t: float, req_id: int, rid: int, attempt: int, delay_s: float, was_active: bool
-    ) -> None:
-        self.rec.on_retry(t, req_id, rid, attempt, delay_s, was_active)
-
-    def lost(
-        self, t: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
-    ) -> None:
-        self.rec.on_lost(t, req_id, rid, attempts, reason, was_active)
-
-    def recover(self, t: float, rid: int, for_rid: int, cold_start_s: float) -> None:
-        self.rec.on_recover(t, rid, for_rid, cold_start_s)
-
-    def run_end(self, sim_end: float) -> None:
-        self.rec.on_run_end(sim_end)
 
 
 @dataclass(frozen=True)
@@ -301,7 +205,7 @@ def finalize_fleet_result(
     admission: AdmissionController,
     peak_routable: int,
     cluster: ClusterConfig,
-    obs: FleetObs | None = None,
+    rec: MetricsRecorder | None = None,
     failures: Sequence[FailureRecord] = (),
     lost: Sequence[LostRecord] = (),
     retries: int = 0,
@@ -320,8 +224,8 @@ def finalize_fleet_result(
     )
     makespan = max(end_times) - first_arrival if end_times else 0.0
     sim_end = first_arrival + makespan
-    if obs is not None:
-        obs.run_end(sim_end)
+    if rec is not None:
+        rec.on_run_end(sim_end)
     replica_stats = stats_at(sim_end)
     gpu_hours = sum(s.gpu_hours for s in replica_stats)
 

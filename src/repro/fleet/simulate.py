@@ -15,7 +15,9 @@ The fleet simulation exists twice, by design:
 :func:`_simulate_fleet_cluster_serving` is the config-driven entry point
 (the ``repro fleet`` CLI and the fig16 benchmark): it draws the regime
 models, solves one placement per regime, labels arrivals with regimes and
-priorities, and runs the selected engine.
+priorities, and runs the selected engine.  The public way in is
+:func:`repro.run` with a ``fleet`` Scenario; these two functions are its
+implementation.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.core.online import ReplacementPolicy
 from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
-from repro.deprecation import deprecated_entry_point
 from repro.engine.costs import CostModel
 from repro.engine.serving import PlacementStepTimer, Request, make_arrivals
 from repro.fleet.admission import AdmissionController
@@ -48,7 +49,7 @@ from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder
 from repro.trace.markov import MarkovRoutingModel
 
-__all__ = ["FleetResult", "simulate_fleet_serving", "simulate_fleet_cluster_serving"]
+__all__: list[str] = []
 
 
 def _simulate_fleet_serving(
@@ -107,11 +108,6 @@ def _simulate_fleet_serving(
         recorder=recorder,
         profiler=profiler,
     )
-
-
-simulate_fleet_serving = deprecated_entry_point(
-    "repro.run() with a fleet Scenario"
-)(_simulate_fleet_serving)
 
 
 def _simulate_fleet_cluster_serving(
@@ -203,8 +199,3 @@ def _simulate_fleet_cluster_serving(
         recorder=recorder,
         profiler=profiler,
     )
-
-
-simulate_fleet_cluster_serving = deprecated_entry_point(
-    "repro.run() with a fleet Scenario"
-)(_simulate_fleet_cluster_serving)

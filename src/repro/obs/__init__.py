@@ -2,11 +2,12 @@
 
 Six pieces, all optional and all zero-cost when absent:
 
-* :mod:`repro.obs.recorder` — the :class:`MetricsRecorder` hook protocol,
-  the no-op :class:`NullRecorder`, :class:`TimelineRecorder`, which turns
-  the engines' event hooks into per-window metric time-series and
-  request/replica lifecycle spans, and :class:`TeeRecorder`, which fans
-  one hook stream out to several recorders.
+* :mod:`repro.obs.recorder` — :class:`MetricsRecorder`, the engine hook
+  surface as a no-op base class (its hook names are :data:`HOOKS`);
+  :class:`TimelineRecorder`, which turns the engines' event hooks into
+  per-window metric time-series and request/replica lifecycle spans; and
+  :class:`TeeRecorder`, which fans one hook stream out to several
+  recorders.
 * :mod:`repro.obs.slo` — :class:`SloSpec` service objectives and the
   multi-window burn-rate evaluator that folds a timeline into typed
   :class:`AlertSpan`\\ s.
@@ -36,7 +37,7 @@ from repro.obs.detect import (
 )
 from repro.obs.export import openmetrics_text, parse_openmetrics
 from repro.obs.profile import MEASURED_PHASES, PROFILE_PHASES, PhaseProfile, PhaseProfiler
-from repro.obs.recorder import MetricsRecorder, NullRecorder, TeeRecorder, TimelineRecorder
+from repro.obs.recorder import HOOKS, MetricsRecorder, TeeRecorder, TimelineRecorder, run_meta
 from repro.obs.slo import (
     ALERT_SEVERITIES,
     ALERT_SIGNALS,
@@ -51,10 +52,11 @@ from repro.obs.slo import (
 from repro.obs.trace import chrome_trace, validate_chrome_trace, write_chrome_trace
 
 __all__ = [
+    "HOOKS",
     "MetricsRecorder",
-    "NullRecorder",
     "TeeRecorder",
     "TimelineRecorder",
+    "run_meta",
     "PhaseProfiler",
     "PhaseProfile",
     "MEASURED_PHASES",

@@ -48,6 +48,7 @@ from statistics import median
 from typing import Mapping, Protocol, Sequence
 
 from repro.chaos.spec import ChaosSpec
+from repro.obs.recorder import MetricsRecorder
 
 __all__ = [
     "ObservedBrownout",
@@ -143,7 +144,7 @@ class _Watch:
         self.outage_open: tuple[str, float, float] | None = None  # signal, detected_s, last_progress
 
 
-class SignalDetector:
+class SignalDetector(MetricsRecorder):
     """Online outage/brownout detector over the benign hook stream.
 
     Defaults are tuned to page on a bad day and stay silent on a clean
@@ -421,30 +422,10 @@ class SignalDetector:
     ) -> None:
         self._tick(t_s)
 
-    # -- chaos-channel hooks: deliberately blind ---------------------------
-    # The detector must infer faults from request-level signals; reading
-    # any of these would be telling it the answer.
-
-    def on_preempt(self, t_s: float, rid: int, grace_s: float) -> None:
-        pass
-
-    def on_fail(
-        self, t_s: float, rid: int, kind: str, lost_active: int, lost_queued: int
-    ) -> None:
-        pass
-
-    def on_retry(
-        self, t_s: float, req_id: int, rid: int, attempt: int, delay_s: float, was_active: bool
-    ) -> None:
-        pass
-
-    def on_lost(
-        self, t_s: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
-    ) -> None:
-        pass
-
-    def on_recover(self, t_s: float, rid: int, for_rid: int, cold_start_s: float) -> None:
-        pass
+    # -- chaos-channel hooks (on_preempt, on_fail, on_retry, on_lost,
+    # on_recover): deliberately blind, inherited as no-ops.  The detector
+    # must infer faults from request-level signals; reading any of them
+    # would be telling it the answer.
 
     def on_run_end(self, t_s: float) -> None:
         self._tick(t_s)

@@ -1,19 +1,18 @@
-"""Metric recorders: the engine hook protocol and the timeline sampler.
+"""Metric recorders: the engine hook surface and the timeline sampler.
 
 The simulators expose a small set of lifecycle hooks (arrival shed,
 enqueue, admit, step end, completion, replica boot/drain/stop, autoscale
-decisions).  A :class:`MetricsRecorder` receives those hooks; the engines
-only ever *call* it — recording is observation-only by contract, so a
-recorder must never draw rng samples or alter float evaluation order
-(see ``DESIGN.md`` "Observability").  Both fleet engines drive their
-hooks through the shared :class:`repro.fleet.result.FleetObs` adapter,
-which is what makes the recorded streams — and therefore the timelines —
-bit-identical between the event-heap oracle and the vectorized tick
-engine.
-
-:class:`NullRecorder` is the zero-overhead default (engines skip hook
-dispatch entirely when no recorder is attached; NullRecorder exists for
-call sites that want an always-valid recorder object).
+decisions, chaos faults).  :class:`MetricsRecorder` declares them once, as
+typed no-ops, and :data:`HOOKS` lists their names; a recorder subclasses
+it and overrides the hooks it cares about.  The engines only ever *call*
+a recorder — recording is observation-only by contract, so a recorder
+must never draw rng samples or alter float evaluation order (see
+``DESIGN.md`` "Observability").  Both fleet engines call the same hooks
+with the same arguments in the same order, which is what makes the
+recorded streams — and therefore the timelines — bit-identical between
+the event-heap oracle and the vectorized tick engine.  Engines skip hook
+dispatch entirely when no recorder is attached; a bare
+``MetricsRecorder()`` is the always-valid recorder that records nothing.
 
 :class:`TimelineRecorder` folds the hook stream into:
 
@@ -27,14 +26,18 @@ call sites that want an always-valid recorder object).
 * bounded span logs (decode steps, replica boot/drain, request
   queue/decode lifecycles, shed instants, scale events) that
   :mod:`repro.obs.trace` turns into Chrome-trace JSON.
+
+:class:`TeeRecorder` fans one hook stream out to several recorders.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-__all__ = ["MetricsRecorder", "NullRecorder", "TeeRecorder", "TimelineRecorder"]
+from repro.config import ClusterConfig
+
+__all__ = ["HOOKS", "MetricsRecorder", "TeeRecorder", "TimelineRecorder", "run_meta"]
 
 #: Initial auto window width (seconds).  Tiny on purpose: the recorder
 #: doubles it as the simulated horizon grows, so the final width is
@@ -42,43 +45,53 @@ __all__ = ["MetricsRecorder", "NullRecorder", "TeeRecorder", "TimelineRecorder"]
 _AUTO_WINDOW0_S = 2.0**-20
 
 
-class MetricsRecorder(Protocol):
-    """Hook surface the simulators drive.  All times are simulated seconds."""
+class MetricsRecorder:
+    """Hook surface the simulators drive.  All times are simulated seconds.
+
+    Every hook is a no-op here, so ``MetricsRecorder()`` records nothing
+    and a subclass overrides only the hooks it reads.
+    """
 
     def on_run_start(self, t_s: float, meta: Mapping[str, float]) -> None:
         """Run begins at ``t_s`` (first arrival).  ``meta`` carries cost
-        constants (``num_gpus`` per replica, ``gpu_hour_usd``) when known."""
-        ...
+        constants (``num_gpus`` per replica, ``gpu_hour_usd``) when known;
+        see :func:`run_meta`."""
 
     def on_replica_start(
         self, t_s: float, rid: int, regime: int, booting: bool, ready_s: float, billed_from_s: float
     ) -> None:
         """Replica ``rid`` exists from ``t_s``; routable at ``ready_s``."""
-        ...
 
-    def on_boot_ready(self, t_s: float, rid: int) -> None: ...
+    def on_boot_ready(self, t_s: float, rid: int) -> None:
+        """Booting replica ``rid`` became routable."""
 
-    def on_drain(self, t_s: float, rid: int) -> None: ...
+    def on_drain(self, t_s: float, rid: int) -> None:
+        """Replica ``rid`` stopped taking new work and is draining."""
 
-    def on_stop(self, t_s: float, rid: int) -> None: ...
+    def on_stop(self, t_s: float, rid: int) -> None:
+        """Replica ``rid`` stopped (and stopped billing)."""
 
-    def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None: ...
+    def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None:
+        """``req_id`` joined replica ``rid``'s queue."""
 
     def on_requeue(self, t_s: float, rid: int, count: int) -> None:
         """``count`` queued requests left replica ``rid`` (migration)."""
-        ...
 
-    def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None: ...
+    def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None:
+        """``req_id`` was refused (``rid`` is ``None`` when no replica was chosen)."""
 
     def on_admit(
         self, t_s: float, rid: int, req_ids: Sequence[int], admission_s: float
-    ) -> None: ...
+    ) -> None:
+        """``req_ids`` joined replica ``rid``'s decode batch, costing ``admission_s``."""
 
-    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None: ...
+    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None:
+        """Replica ``rid`` finished a ``step_s``-long decode step over ``batch`` requests."""
 
     def on_complete(
         self, t_s: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
-    ) -> None: ...
+    ) -> None:
+        """``req_id`` generated its last token on replica ``rid``."""
 
     def on_scale(
         self,
@@ -88,114 +101,43 @@ class MetricsRecorder(Protocol):
         replicas_before: int,
         replicas_after: int,
         cold_start_s: float,
-    ) -> None: ...
+    ) -> None:
+        """The autoscaler decided to scale ``direction`` (``up``/``down``)."""
 
     def on_preempt(self, t_s: float, rid: int, grace_s: float) -> None:
         """Replica ``rid`` received a preemption notice; drains for ``grace_s``."""
-        ...
 
     def on_fail(
         self, t_s: float, rid: int, kind: str, lost_active: int, lost_queued: int
     ) -> None:
         """Replica ``rid`` failed hard (``kind``: crash/preempt), losing work."""
-        ...
 
     def on_retry(
         self, t_s: float, req_id: int, rid: int, attempt: int, delay_s: float, was_active: bool
     ) -> None:
         """Attempt ``attempt`` of ``req_id`` died on ``rid``; re-enters routing
         after ``delay_s``.  ``was_active``: decoding (vs still queued)."""
-        ...
 
     def on_lost(
         self, t_s: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
     ) -> None:
         """``req_id`` exhausted its retry budget and is terminally lost."""
-        ...
 
     def on_recover(self, t_s: float, rid: int, for_rid: int, cold_start_s: float) -> None:
         """Replacement replica ``rid`` went routable, recovering failed ``for_rid``."""
-        ...
-
-    def on_run_end(self, t_s: float) -> None: ...
-
-
-class NullRecorder:
-    """A recorder that records nothing; every hook returns immediately."""
-
-    __slots__ = ()
-
-    def on_run_start(self, t_s: float, meta: Mapping[str, float]) -> None:
-        pass
-
-    def on_replica_start(
-        self, t_s: float, rid: int, regime: int, booting: bool, ready_s: float, billed_from_s: float
-    ) -> None:
-        pass
-
-    def on_boot_ready(self, t_s: float, rid: int) -> None:
-        pass
-
-    def on_drain(self, t_s: float, rid: int) -> None:
-        pass
-
-    def on_stop(self, t_s: float, rid: int) -> None:
-        pass
-
-    def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None:
-        pass
-
-    def on_requeue(self, t_s: float, rid: int, count: int) -> None:
-        pass
-
-    def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None:
-        pass
-
-    def on_admit(self, t_s: float, rid: int, req_ids: Sequence[int], admission_s: float) -> None:
-        pass
-
-    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None:
-        pass
-
-    def on_complete(
-        self, t_s: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
-    ) -> None:
-        pass
-
-    def on_scale(
-        self,
-        t_s: float,
-        direction: str,
-        queue_per_replica: float,
-        replicas_before: int,
-        replicas_after: int,
-        cold_start_s: float,
-    ) -> None:
-        pass
-
-    def on_preempt(self, t_s: float, rid: int, grace_s: float) -> None:
-        pass
-
-    def on_fail(
-        self, t_s: float, rid: int, kind: str, lost_active: int, lost_queued: int
-    ) -> None:
-        pass
-
-    def on_retry(
-        self, t_s: float, req_id: int, rid: int, attempt: int, delay_s: float, was_active: bool
-    ) -> None:
-        pass
-
-    def on_lost(
-        self, t_s: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
-    ) -> None:
-        pass
-
-    def on_recover(self, t_s: float, rid: int, for_rid: int, cold_start_s: float) -> None:
-        pass
 
     def on_run_end(self, t_s: float) -> None:
-        pass
+        """The run ended at ``t_s``; no hook follows."""
+
+
+#: Every hook name, in declaration order — the one list of the hook surface.
+HOOKS: tuple[str, ...] = tuple(n for n in vars(MetricsRecorder) if n.startswith("on_"))
+
+
+def run_meta(cluster: ClusterConfig) -> dict[str, float]:
+    """The ``on_run_start`` meta for replicas of ``cluster``: the cost
+    constants a recorder needs to price the run."""
+    return {"num_gpus": float(cluster.num_gpus), "gpu_hour_usd": float(cluster.gpu_hour_usd)}
 
 
 class _ReplicaTrack:
@@ -235,7 +177,7 @@ class _ReplicaTrack:
         self.tokens = 0
 
 
-class TimelineRecorder:
+class TimelineRecorder(MetricsRecorder):
     """Folds the hook stream into per-window time-series and span logs.
 
     Single-use: attach one instance per simulation run.  ``window_s``
@@ -794,106 +736,26 @@ class TimelineRecorder:
         )
 
 
-class TeeRecorder:
+class TeeRecorder(MetricsRecorder):
     """Fans every hook out to several recorders, in order.
 
     The engines take exactly one recorder slot; a tee is how a timeline
     sampler and an online detector watch the same run.  Like every
     recorder it is observation-only — it adds no hooks, reorders nothing,
-    and each child sees the identical stream the engines emitted.
+    and each child sees the identical stream the engines emitted.  Each
+    child's hooks are looked up on the instance when the tee is built, so
+    hooks overridden on a child instance before then are the ones called.
     """
-
-    __slots__ = ("recorders",)
 
     def __init__(self, recorders: Sequence[MetricsRecorder]) -> None:
         self.recorders = tuple(recorders)
+        for name in HOOKS:
+            setattr(self, name, _fan_out(tuple(getattr(r, name) for r in self.recorders)))
 
-    def on_run_start(self, t_s: float, meta: Mapping[str, float]) -> None:
-        for r in self.recorders:
-            r.on_run_start(t_s, meta)
 
-    def on_replica_start(
-        self, t_s: float, rid: int, regime: int, booting: bool, ready_s: float, billed_from_s: float
-    ) -> None:
-        for r in self.recorders:
-            r.on_replica_start(t_s, rid, regime, booting, ready_s, billed_from_s)
+def _fan_out(hooks: tuple[Callable[..., None], ...]) -> Callable[..., None]:
+    def fan(*args: Any, **kwargs: Any) -> None:
+        for hook in hooks:
+            hook(*args, **kwargs)
 
-    def on_boot_ready(self, t_s: float, rid: int) -> None:
-        for r in self.recorders:
-            r.on_boot_ready(t_s, rid)
-
-    def on_drain(self, t_s: float, rid: int) -> None:
-        for r in self.recorders:
-            r.on_drain(t_s, rid)
-
-    def on_stop(self, t_s: float, rid: int) -> None:
-        for r in self.recorders:
-            r.on_stop(t_s, rid)
-
-    def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None:
-        for r in self.recorders:
-            r.on_enqueue(t_s, rid, req_id)
-
-    def on_requeue(self, t_s: float, rid: int, count: int) -> None:
-        for r in self.recorders:
-            r.on_requeue(t_s, rid, count)
-
-    def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None:
-        for r in self.recorders:
-            r.on_shed(t_s, req_id, rid, reason)
-
-    def on_admit(self, t_s: float, rid: int, req_ids: Sequence[int], admission_s: float) -> None:
-        for r in self.recorders:
-            r.on_admit(t_s, rid, req_ids, admission_s)
-
-    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None:
-        for r in self.recorders:
-            r.on_step_end(t_s, rid, step_s, batch)
-
-    def on_complete(
-        self, t_s: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
-    ) -> None:
-        for r in self.recorders:
-            r.on_complete(t_s, rid, req_id, arrival_s, admitted_s, tokens)
-
-    def on_scale(
-        self,
-        t_s: float,
-        direction: str,
-        queue_per_replica: float,
-        replicas_before: int,
-        replicas_after: int,
-        cold_start_s: float,
-    ) -> None:
-        for r in self.recorders:
-            r.on_scale(t_s, direction, queue_per_replica, replicas_before, replicas_after, cold_start_s)
-
-    def on_preempt(self, t_s: float, rid: int, grace_s: float) -> None:
-        for r in self.recorders:
-            r.on_preempt(t_s, rid, grace_s)
-
-    def on_fail(
-        self, t_s: float, rid: int, kind: str, lost_active: int, lost_queued: int
-    ) -> None:
-        for r in self.recorders:
-            r.on_fail(t_s, rid, kind, lost_active, lost_queued)
-
-    def on_retry(
-        self, t_s: float, req_id: int, rid: int, attempt: int, delay_s: float, was_active: bool
-    ) -> None:
-        for r in self.recorders:
-            r.on_retry(t_s, req_id, rid, attempt, delay_s, was_active)
-
-    def on_lost(
-        self, t_s: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
-    ) -> None:
-        for r in self.recorders:
-            r.on_lost(t_s, req_id, rid, attempts, reason, was_active)
-
-    def on_recover(self, t_s: float, rid: int, for_rid: int, cold_start_s: float) -> None:
-        for r in self.recorders:
-            r.on_recover(t_s, rid, for_rid, cold_start_s)
-
-    def on_run_end(self, t_s: float) -> None:
-        for r in self.recorders:
-            r.on_run_end(t_s)
+    return fan

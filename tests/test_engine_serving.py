@@ -17,8 +17,8 @@ from repro.engine.serving import (
     engine_step_time,
     make_arrivals,
     poisson_arrivals,
-    simulate_cluster_serving,
-    simulate_serving,
+    _simulate_cluster_serving,
+    _simulate_serving,
 )
 
 
@@ -234,17 +234,17 @@ class TestServingConfigValidation:
 
 class TestContinuousBatching:
     def test_all_requests_complete(self, cfg):
-        res = simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
         assert len(res.completed) == cfg.num_requests
         assert res.generated_tokens == cfg.num_requests * cfg.generate_len
 
     def test_empty_input(self):
-        res = simulate_serving([], constant_step(1e-3))
+        res = _simulate_serving([], constant_step(1e-3))
         assert res.completed == () and res.decode_steps == 0
 
     def test_zero_makespan_throughput_is_zero(self):
         """Regression: zero-span results used to report inf throughput."""
-        res = simulate_serving([], constant_step(1e-3))
+        res = _simulate_serving([], constant_step(1e-3))
         assert res.makespan_s == 0.0
         assert res.throughput_rps == 0.0
         assert res.throughput_tokens_per_s == 0.0
@@ -252,57 +252,57 @@ class TestContinuousBatching:
 
     def test_unloaded_latency_is_pure_service(self):
         req = Request(0, 1.0, 8, 10)
-        res = simulate_serving([req], constant_step(2e-3), 4)
+        res = _simulate_serving([req], constant_step(2e-3), 4)
         c = res.completed[0]
         assert c.queue_s == 0.0
         assert c.latency_s == pytest.approx(10 * 2e-3)
 
     def test_latency_lower_bound(self, cfg):
         """No request can finish faster than generate_len decode steps."""
-        res = simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
         for c in res.completed:
             assert c.latency_s >= cfg.generate_len * 1e-3 - 1e-12
             assert c.queue_s >= 0.0
 
     def test_percentiles_ordered(self, cfg):
-        res = simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
         s = res.latency
         assert s.p50_s <= s.p95_s <= s.p99_s <= s.max_s
 
     def test_batching_beats_serial(self, cfg):
         """With a flat step cost, continuous batching must raise throughput."""
         reqs = poisson_arrivals(cfg)
-        batched = simulate_serving(reqs, constant_step(1e-3), 16)
-        serial = simulate_serving(reqs, constant_step(1e-3), 1)
+        batched = _simulate_serving(reqs, constant_step(1e-3), 16)
+        serial = _simulate_serving(reqs, constant_step(1e-3), 1)
         assert batched.throughput_tokens_per_s > serial.throughput_tokens_per_s
         assert batched.latency.mean_s < serial.latency.mean_s
 
     def test_more_load_more_latency(self):
         lo = ServingConfig(arrival_rate_rps=20.0, num_requests=200, generate_len=8)
         hi = dataclasses.replace(lo, arrival_rate_rps=2000.0)
-        res_lo = simulate_serving(poisson_arrivals(lo), constant_step(1e-3), 8)
-        res_hi = simulate_serving(poisson_arrivals(hi), constant_step(1e-3), 8)
+        res_lo = _simulate_serving(poisson_arrivals(lo), constant_step(1e-3), 8)
+        res_hi = _simulate_serving(poisson_arrivals(hi), constant_step(1e-3), 8)
         assert res_hi.latency.mean_s >= res_lo.latency.mean_s
         assert res_hi.queue.mean_s >= res_lo.queue.mean_s
 
     def test_batch_cap_respected(self, cfg):
-        res = simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 4)
+        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 4)
         assert res.mean_batch_size <= 4.0 + 1e-9
 
     def test_mean_batch_and_utilization_bounds(self, cfg):
-        res = simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
         assert 0.0 < res.mean_batch_size <= 16.0
         assert 0.0 < res.utilization <= 1.0
 
     def test_rejects_bad_step_time(self, cfg):
         with pytest.raises(ValueError):
-            simulate_serving(poisson_arrivals(cfg), constant_step(0.0), 16)
+            _simulate_serving(poisson_arrivals(cfg), constant_step(0.0), 16)
         with pytest.raises(ValueError):
-            simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 0)
+            _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 0)
 
     def test_deterministic(self, cfg):
-        a = simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
-        b = simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+        a = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+        b = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
         assert a.latency == b.latency and a.makespan_s == b.makespan_s
 
 
@@ -392,7 +392,7 @@ class TestClusterServing:
             arrival_rate_rps=500.0, num_requests=40, generate_len=4,
             max_batch_requests=8, prompt_len=8, seed=3,
         )
-        res = simulate_cluster_serving(
+        res = _simulate_cluster_serving(
             small_model, small_cluster, serving, mode=ExecutionMode.EXFLOW
         )
         assert len(res.completed) == 40
@@ -404,7 +404,7 @@ class TestClusterServing:
             arrival="bursty", arrival_rate_rps=300.0, num_requests=30,
             generate_len=4, max_batch_requests=8, prompt_len=8, seed=9,
         )
-        a = simulate_cluster_serving(small_model, small_cluster, serving)
-        b = simulate_cluster_serving(small_model, small_cluster, serving)
+        a = _simulate_cluster_serving(small_model, small_cluster, serving)
+        b = _simulate_cluster_serving(small_model, small_cluster, serving)
         assert a.latency == b.latency
         assert a.makespan_s == b.makespan_s

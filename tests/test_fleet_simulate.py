@@ -13,7 +13,7 @@ from repro.fleet.requests import (
     flash_crowd_arrivals,
     make_fleet_requests,
 )
-from repro.fleet.simulate import simulate_fleet_cluster_serving, simulate_fleet_serving
+from repro.fleet.simulate import _simulate_fleet_cluster_serving, _simulate_fleet_serving
 from repro.trace.markov import MarkovRoutingModel
 
 
@@ -129,7 +129,7 @@ class TestMakeFleetRequests:
 
 class TestFleetServing:
     def _run(self, model, cluster, serving, fleet, **kwargs):
-        return simulate_fleet_cluster_serving(model, cluster, serving, fleet, **kwargs)
+        return _simulate_fleet_cluster_serving(model, cluster, serving, fleet, **kwargs)
 
     def test_conservation(self, model, cluster, serving):
         fleet = FleetConfig(num_replicas=3, router="jsq", max_replicas=4)
@@ -153,7 +153,7 @@ class TestFleetServing:
         regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
         from repro.core.placement.vanilla import vanilla_placement
 
-        res = simulate_fleet_serving(
+        res = _simulate_fleet_serving(
             [],
             model,
             cluster,
@@ -170,21 +170,21 @@ class TestFleetServing:
         regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
         flat = vanilla_placement(4, 8, 4)
         with pytest.raises(ValueError, match="num_regimes"):
-            simulate_fleet_serving(
+            _simulate_fleet_serving(
                 [], model, cluster, regimes, [flat], FleetConfig(num_regimes=2)
             )
         with pytest.raises(ValueError, match="placement"):
-            simulate_fleet_serving(
+            _simulate_fleet_serving(
                 [], model, cluster, regimes, [], FleetConfig(num_regimes=1)
             )
         with pytest.raises(ValueError, match="max_batch"):
-            simulate_fleet_serving(
+            _simulate_fleet_serving(
                 [], model, cluster, regimes, [flat],
                 FleetConfig(num_regimes=1), max_batch_requests=0,
             )
         with pytest.raises(ValueError, match="shape"):
             bad = [MarkovRoutingModel.with_affinity(4, 4, 0.8)]
-            simulate_fleet_serving(
+            _simulate_fleet_serving(
                 [], model, cluster, bad, [flat], FleetConfig(num_regimes=1)
             )
 
@@ -199,7 +199,7 @@ class TestFleetServing:
         flat = vanilla_placement(4, 8, 4)
         bad = [FleetRequest(0, 0.0, 8, 4, regime=3)]
         with pytest.raises(ValueError, match="regime 3.*only regimes 0..0"):
-            simulate_fleet_serving(
+            _simulate_fleet_serving(
                 bad, model, cluster, regimes, [flat],
                 FleetConfig(num_regimes=1, engine=engine),
             )

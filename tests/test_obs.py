@@ -11,6 +11,7 @@ fractions always sum to one.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -18,7 +19,8 @@ import pytest
 from repro.config import ClusterConfig, FleetConfig, ServingConfig, paper_model
 from repro.engine.metrics import LATENCY_HIST_EDGES_S, LatencyStats
 from repro.obs.profile import MEASURED_PHASES, PROFILE_PHASES, PhaseProfiler
-from repro.obs.recorder import NullRecorder, TimelineRecorder
+from repro.obs.detect import SignalDetector
+from repro.obs.recorder import HOOKS, MetricsRecorder, TeeRecorder, TimelineRecorder
 from repro.obs.trace import validate_chrome_trace
 from repro.scenarios import Scenario, SimReport, TelemetrySpec, run
 
@@ -48,22 +50,67 @@ def drive(rec, n=100, dt=0.01, meta=None):
     return rec
 
 
-class TestNullRecorder:
-    def test_all_hooks_are_noops(self):
-        rec = NullRecorder()
-        rec.on_run_start(0.0, {})
-        rec.on_replica_start(0.0, 0, 0, True, 1.0, 0.0)
-        rec.on_boot_ready(1.0, 0)
-        rec.on_enqueue(1.0, 0, 7)
-        rec.on_requeue(1.5, 0, 1)
-        rec.on_shed(2.0, 8, None, "queue-full")
-        rec.on_admit(2.0, 0, [7], 0.001)
-        rec.on_step_end(2.1, 0, 0.1, 1)
-        rec.on_complete(2.1, 0, 7, 1.0, 2.0, 4)
-        rec.on_scale(2.5, "up", 9.0, 1, 2, 0.5)
-        rec.on_drain(3.0, 0)
-        rec.on_stop(3.5, 0)
-        rec.on_run_end(4.0)
+def hook_names(cls):
+    return {name for name in dir(cls) if name.startswith("on_")}
+
+
+def sample_args(name):
+    """One distinct, type-plausible argument tuple per hook."""
+    sig = inspect.signature(getattr(MetricsRecorder, name))
+    args = []
+    for i, p in enumerate(list(sig.parameters.values())[1:]):
+        ann = str(p.annotation)
+        if "Mapping" in ann:
+            args.append({"num_gpus": 4.0})
+        elif "Sequence" in ann:
+            args.append([i, i + 1])
+        elif ann == "str":
+            args.append(f"{name}-{i}")
+        elif ann == "bool":
+            args.append(True)
+        else:
+            args.append(float(i) + 0.5 if ann == "float" else i)
+    return tuple(args)
+
+
+class _LoggingRecorder(MetricsRecorder):
+    """Appends ``(tag, hook, args)`` to a shared log for every hook."""
+
+    def __init__(self, tag, log):
+        for name in HOOKS:
+            setattr(self, name, lambda *a, _n=name: log.append((tag, _n, a)))
+
+
+class TestHookSurface:
+    def test_hooks_are_the_base_class_methods(self):
+        assert len(HOOKS) == 18
+        assert set(HOOKS) == hook_names(MetricsRecorder)
+
+    def test_bare_recorder_accepts_every_hook(self):
+        rec = MetricsRecorder()
+        for name in HOOKS:
+            assert getattr(rec, name)(*sample_args(name)) is None
+
+    @pytest.mark.parametrize("cls", (TimelineRecorder, SignalDetector, TeeRecorder))
+    def test_recorders_expose_exactly_the_hooks(self, cls):
+        assert hook_names(cls) == set(HOOKS)
+
+    def test_tee_delivers_every_hook_to_children_in_order(self):
+        log = []
+        tee = TeeRecorder((_LoggingRecorder("a", log), _LoggingRecorder("b", log)))
+        for name in HOOKS:
+            getattr(tee, name)(*sample_args(name))
+        expected = [
+            (tag, name, sample_args(name)) for name in HOOKS for tag in ("a", "b")
+        ]
+        assert log == expected
+
+    def test_tee_calls_hooks_overridden_on_child_instances(self):
+        seen = []
+        child = TimelineRecorder()
+        child.on_run_start = lambda t_s, meta: seen.append((t_s, dict(meta)))
+        TeeRecorder((child,)).on_run_start(1.0, {"num_gpus": 2.0})
+        assert seen == [(1.0, {"num_gpus": 2.0})]
 
 
 class TestTimelineRecorder:
@@ -380,6 +427,11 @@ class TestRunFacadeTelemetry:
         assert tl["num_replicas"] == 1
         assert report.latency_hist
         assert sum(report.latency_hist.values()) == report.completed
+
+    def test_serving_timeline_cost_matches_report(self):
+        report = run(_serving_scenario(telemetry=TelemetrySpec()))
+        assert report.cost_usd > 0.0
+        assert report.timeline["windows"]["cost_usd"][-1] == pytest.approx(report.cost_usd)
 
     def test_fleet_scenario_records_timeline_and_profile(self):
         s = _serving_scenario(

@@ -39,8 +39,8 @@ from repro.engine.executor import simulate_inference
 from repro.engine.serving import (
     PlacementStepTimer,
     poisson_arrivals,
-    simulate_online_cluster_serving,
-    simulate_online_serving,
+    _simulate_online_cluster_serving,
+    _simulate_online_serving,
 )
 from repro.engine.workload import (
     AbruptDrift,
@@ -569,7 +569,7 @@ class TestOnlineServing:
 
     def test_all_requests_complete_static(self, setup):
         model, cluster, serving = setup
-        res = simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
+        res = _simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
         assert len(res.serving.completed) == serving.num_requests
         assert res.events == () and res.migration_stall_s == 0.0
         assert res.serving.latency.p50_s <= res.serving.latency.p99_s
@@ -580,10 +580,10 @@ class TestOnlineServing:
         policy = ReplacementPolicy(
             check_every_steps=4, min_effective_tokens=64, cooldown_steps=8
         )
-        a = simulate_online_cluster_serving(
+        a = _simulate_online_cluster_serving(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
         )
-        b = simulate_online_cluster_serving(
+        b = _simulate_online_cluster_serving(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
         )
         assert a.serving.latency == b.serving.latency
@@ -600,8 +600,8 @@ class TestOnlineServing:
             cooldown_steps=8,
             solver_passes=6,
         )
-        static = simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
-        online = simulate_online_cluster_serving(
+        static = _simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
+        online = _simulate_online_cluster_serving(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
         )
         assert online.num_replacements >= 1
@@ -620,7 +620,7 @@ class TestOnlineServing:
         policy = ReplacementPolicy(
             check_every_steps=4, min_effective_tokens=32, cooldown_steps=4
         )
-        online = simulate_online_cluster_serving(
+        online = _simulate_online_cluster_serving(
             model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=64
         )
         if online.events:
@@ -634,7 +634,7 @@ class TestOnlineServing:
         placement = vanilla_placement(
             small_model.num_moe_layers, small_model.num_experts, small_cluster.num_gpus
         )
-        res = simulate_online_serving(
+        res = _simulate_online_serving(
             [], small_model, small_cluster, drift, placement
         )
         assert res.serving.completed == () and res.kept_timeline == ()
@@ -645,7 +645,7 @@ class TestOnlineServing:
             small_model.num_moe_layers, small_model.num_experts, small_cluster.num_gpus
         )
         with pytest.raises(ValueError):
-            simulate_online_serving(
+            _simulate_online_serving(
                 poisson_arrivals(ServingConfig(num_requests=4)),
                 small_model,
                 small_cluster,
@@ -657,6 +657,6 @@ class TestOnlineServing:
         """Without drift the kept-mass timeline is flat (placement stays
         matched to traffic) — the control arm of the whole subsystem."""
         model, cluster, serving = setup
-        res = simulate_online_cluster_serving(model, cluster, serving, drift="none")
+        res = _simulate_online_cluster_serving(model, cluster, serving, drift="none")
         kepts = [s.true_kept for s in res.kept_timeline]
         assert max(kepts) - min(kepts) < 1e-9

@@ -1,17 +1,13 @@
-"""Tests for the unified Scenario API: spec serde, dispatch, registry,
-sweep runner and the deprecation shims over the legacy entry points."""
+"""Tests for the unified Scenario API: spec serde, dispatch, registry
+and sweep runner."""
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
-import warnings
 
 import pytest
 
-import repro.engine.serving
-import repro.fleet.simulate
 from repro.config import (
     ClusterConfig,
     ExecutionMode,
@@ -395,49 +391,3 @@ class TestSimReport:
         assert "raw" not in d
         assert json.loads(rep.to_json())["scenario"] == "x"
 
-
-# the six legacy entry points, now shims over the facade's implementations
-SHIMS = [
-    (repro.engine.serving, "simulate_serving"),
-    (repro.engine.serving, "simulate_cluster_serving"),
-    (repro.engine.serving, "simulate_online_serving"),
-    (repro.engine.serving, "simulate_online_cluster_serving"),
-    (repro.fleet.simulate, "simulate_fleet_serving"),
-    (repro.fleet.simulate, "simulate_fleet_cluster_serving"),
-]
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize("mod,name", SHIMS)
-    def test_warns_exactly_once_per_process(self, mod, name):
-        fn = getattr(mod, name)
-        fn._warned = False  # reset the guard: other tests may have tripped it
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                with contextlib.suppress(Exception):  # warn fires before the call
-                    fn()
-        messages = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(messages) == 1, f"{name} warned {len(messages)} times"
-        assert name in str(messages[0].message)
-        assert "repro.run" in str(messages[0].message)
-
-    @pytest.mark.parametrize("mod,name", SHIMS)
-    def test_wrapped_implementation_reachable(self, mod, name):
-        fn = getattr(mod, name)
-        assert hasattr(fn, "__wrapped__")
-        assert getattr(mod, f"_{name}") is fn.__wrapped__
-
-    def test_shim_still_produces_results(self):
-        from repro.engine.serving import Request, simulate_serving
-
-        simulate_serving._warned = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = simulate_serving(
-                [Request(0, 0.0, 8, 2)], lambda b: 1e-3, max_batch_requests=4
-            )
-        assert len(res.completed) == 1
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
