@@ -714,10 +714,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
     recorder = None
     if args.trace or args.metrics:
-        if scenario.kind not in ("serving", "fleet"):
+        if scenario.kind == "batch":
             print(
-                f"error: --trace/--metrics record serving and fleet scenarios, "
-                f"not kind {scenario.kind!r}",
+                "error: --trace/--metrics record serving, online and fleet "
+                "scenarios, not kind 'batch'",
                 file=sys.stderr,
             )
             return 2

@@ -235,7 +235,7 @@ class ReplacementEvent:
 class OnlineReplacer:
     """Streaming estimator + policy + warm-started solver, as one actor.
 
-    The serving loop calls :meth:`observe` with every decode step's routing
+    A fleet replica calls :meth:`observe` with every decode step's routing
     decisions and :meth:`maybe_replace` at step boundaries; the replacer
     owns all re-placement state (kept-mass baseline, cooldown bookkeeping)
     and returns a (new placement, event) pair only when it actually
@@ -258,8 +258,8 @@ class OnlineReplacer:
         if estimator is not None and halflife_tokens is not None:
             raise ValueError("pass either estimator or halflife_tokens, not both")
         if estimator is None:
-            # the replacer owns estimator construction so every caller
-            # (single-replica online loop, fleet replicas) shares one spelling
+            # the replacer owns estimator construction so every fleet
+            # replica (the online scenario's one included) shares one spelling
             estimator = (
                 StreamingAffinityEstimator(
                     model.num_experts, model.num_moe_layers, halflife_tokens

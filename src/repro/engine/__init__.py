@@ -30,7 +30,6 @@ from repro.engine.workload import (
     DecodeWorkload,
     make_decode_workload,
     DriftScenario,
-    StaticRouting,
     GradualDrift,
     AbruptDrift,
     DiurnalDrift,
@@ -61,7 +60,6 @@ __all__ = [
     "DecodeWorkload",
     "make_decode_workload",
     "DriftScenario",
-    "StaticRouting",
     "GradualDrift",
     "AbruptDrift",
     "DiurnalDrift",

@@ -23,8 +23,11 @@ Three pieces compose:
   model rather than a made-up constant.
 
 :func:`_simulate_cluster_serving` wires all three together from a
-:class:`~repro.config.ServingConfig`.  :func:`_simulate_online_serving`
-opens the step cost up for drifting routing and live re-placement, and
+:class:`~repro.config.ServingConfig`.  Drifting routing and live
+re-placement need a per-step price instead (:class:`PlacementStepTimer`),
+and get it from the fleet engine: :func:`_simulate_online_serving` runs
+as a one-replica fleet on the tick engine and returns the online result
+(:class:`OnlineServingResult`, kept-mass timeline included), and
 :func:`_simulate_online_cluster_serving` wires it from a config.  The
 public way in to all of them is :func:`repro.run` with a ``serving`` or
 ``online`` Scenario; the underscore functions are its implementations.
@@ -32,6 +35,7 @@ public way in to all of them is :func:`repro.run` with a ``serving`` or
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -43,16 +47,12 @@ from repro.cluster.topology import Topology
 from repro.config import (
     ClusterConfig,
     ExecutionMode,
+    FleetConfig,
     InferenceConfig,
     ModelConfig,
     ServingConfig,
 )
-from repro.core.online import (
-    OnlineReplacer,
-    ReplacementEvent,
-    ReplacementPolicy,
-    model_kept_mass,
-)
+from repro.core.online import ReplacementEvent, ReplacementPolicy, model_kept_mass
 from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
@@ -65,7 +65,8 @@ from repro.engine.workload import (
     make_decode_workload,
     make_drift_scenario,
 )
-from repro.obs.recorder import MetricsRecorder, run_meta
+from repro.obs.profile import PhaseProfiler
+from repro.obs.recorder import MetricsRecorder, TeeRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
 
 __all__ = [
@@ -483,7 +484,7 @@ class PlacementStepTimer:
     single decode iteration.  On a one-iteration workload it matches
     :func:`repro.engine.executor.simulate_inference` up to the one-time
     prompt AllGather, which :meth:`admission_time` prices separately (the
-    online loop charges it when requests join the batch).
+    fleet engines charge it when requests join the batch).
     """
 
     def __init__(
@@ -650,15 +651,12 @@ class KeptSample:
     """One point of the kept-transition-mass timeline.
 
     ``true_kept`` scores the then-current placement against the *true*
-    instantaneous routing regime (analytic, estimator-free);
-    ``estimated_kept`` is the same placement scored on the streaming
-    estimator's decayed window — the signal the policy actually sees.
+    instantaneous routing regime (analytic, estimator-free).
     """
 
     step: int
     time_s: float
     true_kept: float
-    estimated_kept: float | None = None
 
 
 @dataclass(frozen=True)
@@ -676,6 +674,45 @@ class OnlineServingResult:
         return len(self.events)
 
 
+class _KeptMassTracker(MetricsRecorder):
+    """Rebuilds the online result's kept-mass timeline from the hook stream.
+
+    Samples the one replica's true kept mass on every 4th step end, right
+    after each migration stall under the new placement, and once more at
+    the run's end if its last step was not sampled.  It also collects the
+    migration events and the final placement.
+    """
+
+    def __init__(self, drift: DriftScenario, placement: Placement) -> None:
+        self.drift = drift
+        self.final_placement = placement
+        self.steps = 0
+        self.last_step_s = 0.0
+        self.events: list[ReplacementEvent] = []
+        self.kept_timeline: list[KeptSample] = []
+
+    def _sample(self, t_s: float) -> None:
+        kept = model_kept_mass(self.final_placement, self.drift.model_at(t_s))
+        self.kept_timeline.append(KeptSample(self.steps, t_s, kept))
+
+    def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None:
+        self.steps += 1
+        self.last_step_s = t_s
+        if self.steps % 4 == 0:
+            self._sample(t_s)
+
+    def on_replace(
+        self, t_s: float, rid: int, placement: Placement, event: ReplacementEvent
+    ) -> None:
+        self.final_placement = placement
+        self.events.append(event)
+        self._sample(t_s + event.stall_s)
+
+    def on_run_end(self, t_s: float) -> None:
+        if not self.kept_timeline or self.kept_timeline[-1].step != self.steps:
+            self._sample(self.last_step_s)
+
+
 def _simulate_online_serving(
     requests: Iterable[Request],
     model: ModelConfig,
@@ -684,155 +721,65 @@ def _simulate_online_serving(
     placement: Placement,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    replacer: OnlineReplacer | None = None,
+    policy: ReplacementPolicy | None = None,
     timer: PlacementStepTimer | None = None,
-    dtype_bytes: int = 2,
-    sample_every_steps: int = 4,
+    halflife_tokens: float | None = None,
     rng: np.random.Generator | None = None,
+    replace_rng: np.random.Generator | None = None,
+    recorder: MetricsRecorder | None = None,
+    profiler: PhaseProfiler | None = None,
 ) -> OnlineServingResult:
     """Continuous batching under drifting routing, with live re-placement.
 
-    The loop is :func:`_simulate_serving`'s scheduler with the step-cost
-    abstraction opened up: each decode step samples the active batch's
-    expert paths from ``drift.model_at(now)``, prices the step with a
-    :class:`PlacementStepTimer` under the *current* placement, streams the
-    routing into ``replacer``'s estimator, and lets the replacer migrate
-    experts at step boundaries — charging the migration stall to the
-    timeline, where every queued and running request pays for it.  Pass
-    ``replacer=None`` for the static arm (same drift, same scheduler,
-    placement frozen).
-
-    ``sample_every_steps`` sets the cadence of the kept-mass timeline (the
-    observability surface benchmarks and dashboards read).
+    Runs as a one-replica fleet on the tick engine whose one regime is
+    ``drift``; infinite SLOs and a queue that holds every request mean
+    nothing is shed.  The replica prices each step under its *current*
+    placement and, under ``policy``, migrates experts at step boundaries —
+    a stall every queued and running request pays for.  ``policy=None`` is
+    the static arm.  ``rng`` drives the routing draws, ``replace_rng`` the
+    replacer's solver; ``recorder`` and ``profiler`` observe the fleet run.
     """
-    if max_batch_requests <= 0:
-        raise ValueError("max_batch_requests must be positive")
-    if sample_every_steps < 1:
-        raise ValueError("sample_every_steps must be >= 1")
-    if drift.num_experts != model.num_experts or drift.num_layers != model.num_moe_layers:
-        raise ValueError("drift scenario shape does not match model architecture")
-    rng = rng or np.random.default_rng(0)
-    timer = timer or PlacementStepTimer(model, cluster, mode=mode, dtype_bytes=dtype_bytes)
-    top2 = model.gating.k == 2
-    g = cluster.num_gpus
+    # imported here: the fleet modules import this one
+    from repro.fleet.engine import simulate_fleet_tick
+    from repro.fleet.requests import FleetRequest
 
-    pending = deque(sorted(requests, key=lambda q: (q.arrival_s, q.req_id)))
-    empty_stats = LatencyStats.from_samples([])
-    if not pending:
+    reqs = [FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len) for q in requests]
+    if not reqs:
+        empty_stats = LatencyStats.from_samples([])
         empty = ServingResult((), empty_stats, empty_stats, 0.0, 0.0, 0, 0, 0.0)
         return OnlineServingResult(empty, (), (), placement, 0.0)
-
-    first_arrival = pending[0].arrival_s
-    now = first_arrival
-    busy = 0.0
-    stall_total = 0.0
-    steps = 0
-    weighted_batch = 0.0
-    admit_counter = 0
-    active: list[list] = []  # [request, tokens_remaining, admitted_s, home, generated]
-    completed: list[CompletedRequest] = []
-    events: list[ReplacementEvent] = []
-    timeline: list[KeptSample] = []
-
-    def record_sample() -> None:
-        routing = drift.model_at(now)
-        timeline.append(
-            KeptSample(
-                step=steps,
-                time_s=now,
-                true_kept=model_kept_mass(placement, routing),
-                estimated_kept=(
-                    replacer.current_kept_mass(placement) if replacer else None
-                ),
-            )
-        )
-
-    while pending or active:
-        if not active and pending and pending[0].arrival_s > now:
-            now = pending[0].arrival_s  # idle: jump to the next arrival
-        newly_admitted: list[list] = []
-        while (
-            pending
-            and pending[0].arrival_s <= now
-            and len(active) < max_batch_requests
-        ):
-            req = pending.popleft()
-            entry = [req, req.generate_len, now, admit_counter % g, 0]
-            admit_counter += 1
-            active.append(entry)
-            newly_admitted.append(entry)
-
-        if newly_admitted:
-            adm = timer.admission_time(
-                np.array([e[3] for e in newly_admitted], dtype=np.int64),
-                np.array([e[0].prompt_len for e in newly_admitted], dtype=np.int64),
-            )
-            now += adm
-            busy += adm
-            weighted_batch += len(active) * adm
-
-        routing = drift.model_at(now)
-        b = len(active)
-        paths = routing.sample(b, rng).paths
-        secondary = routing.sample(b, rng).paths if top2 else None
-        home = np.array([e[3] for e in active], dtype=np.int64)
-        ctx = np.array([e[0].prompt_len + e[4] for e in active], dtype=np.int64)
-
-        dt = timer.step_time(paths, home, ctx, placement, secondary)
-        if not dt > 0:
-            raise ValueError(f"step_time must be positive seconds, got {dt}")
-        now += dt
-        busy += dt
-        steps += 1
-        weighted_batch += b * dt
-
-        if replacer is not None:
-            replacer.observe(paths)
-
-        still_running: list[list] = []
-        for entry in active:
-            entry[1] -= 1
-            entry[4] += 1
-            if entry[1] == 0:
-                completed.append(CompletedRequest(entry[0], entry[2], now))
-            else:
-                still_running.append(entry)
-        active = still_running
-
-        sampled = steps % sample_every_steps == 0
-        if sampled:
-            record_sample()
-
-        if replacer is not None:
-            result = replacer.maybe_replace(steps, now, placement)
-            if result is not None:
-                placement, event = result
-                now += event.stall_s  # everyone in flight pays for the move
-                stall_total += event.stall_s
-                events.append(event)
-                record_sample()  # post-migration point, new placement
-
-    if not timeline or timeline[-1].step != steps:
-        record_sample()
-
-    makespan = now - first_arrival
-    tokens = sum(c.request.generate_len for c in completed)
+    fleet = FleetConfig(
+        num_replicas=1, min_replicas=1, max_replicas=1, router="round-robin", num_regimes=1,
+        slo_ms=math.inf, batch_slo_ms=math.inf, max_queue_per_replica=len(reqs),
+        replace=policy is not None, engine="tick",
+    )
+    tracker = _KeptMassTracker(drift, placement)
+    res = simulate_fleet_tick(
+        reqs, model, cluster, [drift], [placement], fleet, mode=mode,
+        max_batch_requests=max_batch_requests, timer=timer, replace_policy=policy,
+        replace_halflife_tokens=halflife_tokens, rng=rng, replace_rng=replace_rng,
+        recorder=tracker if recorder is None else TeeRecorder((recorder, tracker)),
+        profiler=profiler,
+    )
+    replica = res.replicas[0]
     serving = ServingResult(
-        completed=tuple(completed),
-        latency=LatencyStats.from_samples([c.latency_s for c in completed]),
-        queue=LatencyStats.from_samples([c.queue_s for c in completed]),
-        makespan_s=makespan,
-        busy_s=busy,
-        decode_steps=steps,
-        generated_tokens=tokens,
-        mean_batch_size=weighted_batch / busy if busy > 0 else 0.0,
+        completed=tuple(
+            CompletedRequest(c.request, c.admitted_s, c.finished_s) for c in res.completed
+        ),
+        latency=res.latency,
+        queue=res.queue,
+        makespan_s=res.makespan_s,
+        busy_s=replica.busy_s,
+        decode_steps=replica.decode_steps,
+        generated_tokens=res.generated_tokens,
+        mean_batch_size=replica.mean_batch_size,
     )
     return OnlineServingResult(
         serving=serving,
-        events=tuple(events),
-        kept_timeline=tuple(timeline),
-        final_placement=placement,
-        migration_stall_s=stall_total,
+        events=tuple(tracker.events),
+        kept_timeline=tuple(tracker.kept_timeline),
+        final_placement=tracker.final_placement,
+        migration_stall_s=replica.migration_stall_s,
     )
 
 
@@ -848,6 +795,8 @@ def _simulate_online_cluster_serving(
     profile_tokens: int = 2048,
     halflife_tokens: float | None = None,
     cost_model: CostModel | None = None,
+    recorder: MetricsRecorder | None = None,
+    profiler: PhaseProfiler | None = None,
 ) -> OnlineServingResult:
     """End-to-end online serving scenario from a :class:`ServingConfig`.
 
@@ -888,17 +837,6 @@ def _simulate_online_cluster_serving(
             model.num_moe_layers, model.num_experts, cluster.num_gpus
         )
 
-    replacer = None
-    if policy is not None:
-        replacer = OnlineReplacer(
-            model,
-            cluster,
-            policy=policy,
-            halflife_tokens=halflife_tokens,
-            dtype_bytes=2,
-            rng=np.random.default_rng(serving.seed + 3),
-        )
-
     requests = make_arrivals(serving, np.random.default_rng(serving.seed))
     timer = PlacementStepTimer(model, cluster, mode=mode, cost_model=cost_model)
     return _simulate_online_serving(
@@ -909,8 +847,11 @@ def _simulate_online_cluster_serving(
         placement,
         mode=mode,
         max_batch_requests=serving.max_batch_requests,
-        replacer=replacer,
+        policy=policy,
         timer=timer,
-        sample_every_steps=4,
+        halflife_tokens=halflife_tokens,
         rng=np.random.default_rng(serving.seed + 2),
+        replace_rng=np.random.default_rng(serving.seed + 3),
+        recorder=recorder,
+        profiler=profiler,
     )

@@ -6,16 +6,17 @@ GPU.  Workloads can be synthesised from a Markov routing model (any size,
 fast) or sliced from a real model generation trace.
 
 The drift scenario family (:class:`DriftScenario` and friends) extends the
-static Markov generators to *time-varying* routing: the online serving loop
-asks ``scenario.model_at(t)`` for the routing model governing the decode
-step at simulation time ``t``, which is how workload drift — the thing
-online re-placement exists to absorb — enters the system.
+static Markov generators to *time-varying* routing: the fleet engines ask
+each regime's ``model_at(t)`` for the routing model governing the decode
+step starting at simulation time ``t``, which is how workload drift — the
+thing online re-placement exists to absorb — enters the system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "make_decode_workload",
     "workload_from_trace",
     "DriftScenario",
-    "StaticRouting",
     "GradualDrift",
     "AbruptDrift",
     "DiurnalDrift",
@@ -165,16 +165,17 @@ def workload_from_trace(
 # -- drift scenarios ----------------------------------------------------------
 
 
-class DriftScenario:
+class DriftScenario(Protocol):
     """Time-varying routing: ``model_at(t)`` is the regime at sim time ``t``.
 
-    Implementations must be deterministic functions of ``t`` (the online
-    serving simulation may evaluate the same instant more than once — e.g.
-    to score both the static and online placements against one regime).
+    A :class:`MarkovRoutingModel` is the constant case: its ``model_at``
+    returns the model itself.  Implementations must be deterministic
+    functions of ``t`` (the online serving simulation may evaluate the same
+    instant more than once — e.g. to score both the static and online
+    placements against one regime).
     """
 
-    def model_at(self, t: float) -> MarkovRoutingModel:
-        raise NotImplementedError
+    def model_at(self, t: float) -> MarkovRoutingModel: ...
 
     @property
     def num_experts(self) -> int:
@@ -183,16 +184,6 @@ class DriftScenario:
     @property
     def num_layers(self) -> int:
         return self.model_at(0.0).num_layers
-
-
-@dataclass
-class StaticRouting(DriftScenario):
-    """No drift: the same routing model at every instant (control arm)."""
-
-    model: MarkovRoutingModel
-
-    def model_at(self, t: float) -> MarkovRoutingModel:
-        return self.model
 
 
 @dataclass
@@ -321,7 +312,7 @@ def make_drift_scenario(
     between them across ``horizon_s`` (the expected serving span — e.g.
     ``num_requests / arrival_rate``):
 
-    * ``none`` — regime A throughout (control arm).
+    * ``none`` — regime A throughout (control arm): the model itself.
     * ``gradual`` — linear interpolation across the middle half.
     * ``abrupt`` — hard switch at the midpoint.
     * ``diurnal`` — cosine mixture with period ``horizon_s / 2`` (two full
@@ -335,7 +326,7 @@ def make_drift_scenario(
         num_experts, num_layers, affinity, rng=np.random.default_rng(seed)
     )
     if kind == "none":
-        return StaticRouting(a)
+        return a
     b = MarkovRoutingModel.with_affinity(
         num_experts, num_layers, affinity, rng=np.random.default_rng(seed + 101)
     )

@@ -60,6 +60,7 @@ from repro.core.online import OnlineReplacer, ReplacementPolicy, model_kept_mass
 from repro.core.placement.base import Placement
 from repro.engine.metrics import LatencyStats
 from repro.engine.serving import PlacementStepTimer
+from repro.engine.workload import DriftScenario
 from repro.fleet.admission import ADMIT, SHED_REASONS, AdmissionController
 from repro.fleet.autoscaler import ReactiveAutoscaler, ScaleEvent, price_cold_start
 from repro.fleet.replica import _STEP_EWMA_ALPHA, ArrayQueue, ReplicaState, ReplicaStats
@@ -123,7 +124,7 @@ class _TickFleet:
         reqs: list[FleetRequest],
         model: ModelConfig,
         cluster: ClusterConfig,
-        regimes: Sequence[MarkovRoutingModel],
+        regimes: Sequence[DriftScenario],
         placements_by_regime: Sequence[Placement],
         fleet: FleetConfig,
         max_batch_requests: int,
@@ -134,6 +135,7 @@ class _TickFleet:
         replace_halflife_tokens: float | None,
         dtype_bytes: int,
         rng: np.random.Generator,
+        replace_rng: np.random.Generator,
         recorder: MetricsRecorder | None = None,
         profiler: PhaseProfiler | None = None,
     ) -> None:
@@ -150,6 +152,7 @@ class _TickFleet:
         self.replace_halflife = replace_halflife_tokens
         self.dtype_bytes = dtype_bytes
         self.rng = rng
+        self.replace_rng = replace_rng
         self.top2 = model.gating.k == 2
         self.g = cluster.num_gpus
         self.L = model.num_moe_layers
@@ -208,6 +211,8 @@ class _TickFleet:
         self.queue_len = np.zeros(cap, dtype=np.int64)
         self.load = np.zeros(cap, dtype=np.int64)
         self.stepping = np.zeros(cap, dtype=np.bool_)
+        # the pending step event is a migration stall, not a decode step
+        self.stalled = np.zeros(cap, dtype=np.bool_)
         self.next_step_t = np.full(cap, _INF, dtype=np.float64)
         self.step_seq = np.zeros(cap, dtype=np.int64)
         self.step_dt = np.zeros(cap, dtype=np.float64)
@@ -338,6 +343,7 @@ class _TickFleet:
         self.queue_len = wide(self.queue_len, 0)
         self.load = wide(self.load, 0)
         self.stepping = wide(self.stepping, False)
+        self.stalled = wide(self.stalled, False)
         self.next_step_t = wide(self.next_step_t, _INF)
         self.step_seq = wide(self.step_seq, 0)
         self.step_dt = wide(self.step_dt, 0.0)
@@ -364,15 +370,13 @@ class _TickFleet:
             self._grow()
         replacer: OnlineReplacer | None = None
         if self.fleet.replace:
-            # same rng draw (and position in the stream) as the oracle:
-            # each replica seeds its own replacer estimator
             replacer = OnlineReplacer(
                 self.model,
                 self.cluster,
                 policy=self.replace_policy or ReplacementPolicy(),
                 halflife_tokens=self.replace_halflife,
                 dtype_bytes=self.dtype_bytes,
-                rng=np.random.default_rng(self.rng.integers(2**31)),
+                rng=self.replace_rng,
             )
         self.state[rid] = state
         self.regime_of[rid] = regime
@@ -515,9 +519,9 @@ class _TickFleet:
         regs = self.act_reg[rid, :n]
         profiler = self.profiler
         _pt = perf_counter() if profiler is not None else 0.0
-        paths = sample_paths_grouped(regs, self.regimes, self.rng, self.L)
+        paths = sample_paths_grouped(regs, self.regimes, t, self.rng, self.L)
         secondary = (
-            sample_paths_grouped(regs, self.regimes, self.rng, self.L)
+            sample_paths_grouped(regs, self.regimes, t, self.rng, self.L)
             if self.top2
             else None
         )
@@ -584,7 +588,6 @@ class _TickFleet:
                 self.act_adm[rid, :kn] = self.act_adm[rid, keep]
                 self.act_reg[rid, :kn] = self.act_reg[rid, keep]
             self.n_act[rid] = kn
-        t_next = t
         replacer = self.replacers[rid]
         if replacer is not None:
             result = replacer.maybe_replace(
@@ -594,8 +597,15 @@ class _TickFleet:
                 self.placements[rid], event = result
                 self.replacements[rid] += 1
                 self.mig_stall[rid] += event.stall_s
-                t_next = t + event.stall_s
-        self._start_step(rid, t_next)
+                if self.rec is not None:
+                    self.rec.on_replace(t, rid, self.placements[rid], event)
+                # the stall is a pseudo-step event (oracle: "resume"), so
+                # arrivals during it are admitted the moment it ends
+                self.stalled[rid] = True
+                self.next_step_t[rid] = t + event.stall_s
+                self.step_seq[rid] = self._next_seq()
+                return
+        self._start_step(rid, t)
 
     def _on_boot(self, rid: int, t: float) -> None:
         self.state[rid] = _RUNNING
@@ -689,6 +699,7 @@ class _TickFleet:
         self.state[rid] = _FAILED
         self.stopped_at[rid] = t
         self.stepping[rid] = False
+        self.stalled[rid] = False
         self.next_step_t[rid] = _INF
         self._refresh_routable()
         if self.rec is not None:
@@ -1061,10 +1072,11 @@ class _TickFleet:
         t_step = float(ts[j])
         best_kind, best_t, best_seq, best_rid = _EV_STEP, t_step, 0, j
         if t_step < _INF:
-            ties = np.flatnonzero(ts == t_step)
-            if ties.size > 1:
-                j = int(ties[np.argmin(self.step_seq[:n][ties])])
-                best_rid = j
+            if n > 1:
+                ties = np.flatnonzero(ts == t_step)
+                if ties.size > 1:
+                    j = int(ties[np.argmin(self.step_seq[:n][ties])])
+                    best_rid = j
             best_seq = int(self.step_seq[j])
         if self.n_booting:
             bt = self.boot_t[:n]
@@ -1100,7 +1112,10 @@ class _TickFleet:
                 continue
             if ev_t == _INF:
                 break
-            if kind == _EV_STEP:
+            if kind == _EV_STEP and self.stalled[ev_rid]:
+                self.stalled[ev_rid] = False
+                self._start_step(ev_rid, ev_t)
+            elif kind == _EV_STEP:
                 self._on_step_end(ev_rid, ev_t)
             elif kind == _EV_BOOT:
                 self._on_boot(ev_rid, ev_t)
@@ -1197,7 +1212,7 @@ def simulate_fleet_tick(
     requests: Iterable[FleetRequest],
     model: ModelConfig,
     cluster: ClusterConfig,
-    regimes: Sequence[MarkovRoutingModel],
+    regimes: Sequence[DriftScenario],
     placements_by_regime: Sequence[Placement],
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
@@ -1209,6 +1224,7 @@ def simulate_fleet_tick(
     replace_halflife_tokens: float | None = None,
     dtype_bytes: int = 2,
     rng: np.random.Generator | None = None,
+    replace_rng: np.random.Generator | None = None,
     recorder: MetricsRecorder | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> FleetResult:
@@ -1263,6 +1279,7 @@ def simulate_fleet_tick(
         replace_halflife_tokens,
         dtype_bytes,
         rng,
+        replace_rng or np.random.default_rng(0),
         recorder=recorder,
         profiler=profiler,
     )

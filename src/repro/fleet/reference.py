@@ -4,23 +4,26 @@ This is the original fleet simulation loop, retained verbatim as the
 correctness reference for the vectorized tick engine
 (:mod:`repro.fleet.engine`) — the same relationship
 :mod:`repro.engine.reference` has to :mod:`repro.engine.executor`.  Each
-replica runs the same continuous-batching semantics as the
-single-replica online loop
-(:func:`~repro.engine.serving._simulate_online_serving`): admissions happen
-at step boundaries, every decode step is priced by a
-:class:`~repro.engine.serving.PlacementStepTimer` from that step's sampled
-routing under the replica's *current* placement, and coherent modes pay
-the prompt AllGather at admission.  Above the replicas sit the router
+replica runs continuous batching: admissions happen at step boundaries,
+every decode step is priced by a
+:class:`~repro.engine.serving.PlacementStepTimer` from routing sampled
+from each request's regime as of the step's start (``model_at(t)``),
+under the replica's *current* placement, and coherent modes pay the
+prompt AllGather at admission.  With ``fleet.replace`` on, a replica may migrate
+experts at a step boundary; it then stalls until a ``resume`` event, and
+requests arriving meanwhile are admitted when that stall ends.  (The
+``online`` scenario kind is exactly one such replica, run on the tick
+engine.)  Above the replicas sit the router
 (per-arrival placement/load decision), the admission controller
 (SLO shedding at routing time) and, optionally, the reactive autoscaler
 (periodic ticks that boot or drain replicas, cold starts priced through
 :func:`~repro.fleet.autoscaler.price_cold_start`).
 
-The event heap carries eight event kinds — request arrival, replica step
-completion, replica boot completion, autoscaler tick, and the chaos
-subsystem's crash / preemption-notice / preemption-kill / request-retry
-events — with a sequence counter as tie-break, so the simulation is
-deterministic given the rng.  Chaos schedules come frozen in
+The event heap carries nine event kinds — request arrival, replica step
+completion, migration-stall resume, replica boot completion, autoscaler
+tick, and the chaos subsystem's crash / preemption-notice /
+preemption-kill / request-retry events — with a sequence counter as
+tie-break, so the simulation is deterministic given the rng.  Chaos schedules come frozen in
 ``fleet.chaos`` (a :class:`~repro.chaos.spec.ChaosSpec`): a crash loses
 the victim's in-flight batch and queue (each lost request re-enters
 routing per the retry policy, or is recorded lost), a preemption notice
@@ -51,6 +54,7 @@ from repro.core.online import OnlineReplacer, ReplacementPolicy
 from repro.core.placement.base import Placement
 from repro.engine.metrics import LatencyStats
 from repro.engine.serving import PlacementStepTimer
+from repro.engine.workload import DriftScenario
 from repro.fleet.admission import AdmissionController
 from repro.fleet.autoscaler import ReactiveAutoscaler, ScaleEvent, price_cold_start
 from repro.fleet.replica import ActiveEntry, Replica, ReplicaState, ReplicaStats
@@ -70,27 +74,15 @@ from repro.fleet.result import (
 from repro.fleet.router import Router, make_router
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder, run_meta
-from repro.trace.markov import MarkovRoutingModel
 
 __all__ = ["simulate_fleet_reference"]
-
-
-def _sample_paths(
-    entries: Sequence[ActiveEntry],
-    regimes: Sequence[MarkovRoutingModel],
-    rng: np.random.Generator,
-    num_layers: int,
-) -> np.ndarray:
-    """Draw one path matrix for a replica's active entries."""
-    regs = np.array([e.request.regime for e in entries], dtype=np.int64)
-    return sample_paths_grouped(regs, regimes, rng, num_layers)
 
 
 def simulate_fleet_reference(
     requests: Iterable[FleetRequest],
     model: ModelConfig,
     cluster: ClusterConfig,
-    regimes: Sequence[MarkovRoutingModel],
+    regimes: Sequence[DriftScenario],
     placements_by_regime: Sequence[Placement],
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
@@ -102,6 +94,7 @@ def simulate_fleet_reference(
     replace_halflife_tokens: float | None = None,
     dtype_bytes: int = 2,
     rng: np.random.Generator | None = None,
+    replace_rng: np.random.Generator | None = None,
     recorder: MetricsRecorder | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> FleetResult:
@@ -116,7 +109,8 @@ def simulate_fleet_reference(
     cap (the serving layer's knob, threaded through by the cluster entry
     point).  With ``fleet.replace`` on, each replica's re-placement loop
     uses ``replace_policy`` and a streaming estimator with
-    ``replace_halflife_tokens`` (defaults when ``None``).
+    ``replace_halflife_tokens`` (defaults when ``None``); every replica's
+    solver draws from the one ``replace_rng`` stream.
 
     ``recorder`` attaches observation-only telemetry (the tick engine calls
     the same hooks with the same arguments, so it reports the identical
@@ -130,6 +124,7 @@ def simulate_fleet_reference(
     )
 
     rng = rng or np.random.default_rng(0)
+    replace_rng = replace_rng or np.random.default_rng(0)
     router = router or make_router(
         fleet.router, regimes=regimes, load_weight=fleet.affinity_load_weight
     )
@@ -163,7 +158,7 @@ def simulate_fleet_reference(
                 policy=replace_policy or ReplacementPolicy(),
                 halflife_tokens=replace_halflife_tokens,
                 dtype_bytes=dtype_bytes,
-                rng=np.random.default_rng(rng.integers(2**31)),
+                rng=replace_rng,
             )
         r = Replica(
             replica_id=len(replicas),
@@ -278,8 +273,9 @@ def simulate_fleet_reference(
             finish_if_drained(r, t)
             return
         _pt = perf_counter() if profiler is not None else 0.0
-        paths = _sample_paths(r.active, regimes, rng, L)
-        secondary = _sample_paths(r.active, regimes, rng, L) if top2 else None
+        regs = np.array([e.request.regime for e in r.active], dtype=np.int64)
+        paths = sample_paths_grouped(regs, regimes, t, rng, L)
+        secondary = sample_paths_grouped(regs, regimes, t, rng, L) if top2 else None
         if profiler is not None:
             profiler.add("pricing", perf_counter() - _pt)
         if r.replacer is not None:
@@ -360,7 +356,6 @@ def simulate_fleet_reference(
             else:
                 still.append(e)
         r.active = still
-        t_next = t
         if r.replacer is not None:
             result = r.replacer.maybe_replace(r.steps, t, r.placement)
             if result is not None:
@@ -368,8 +363,13 @@ def simulate_fleet_reference(
                 r.placement_version += 1
                 r.replacements += 1
                 r.migration_stall_s += event.stall_s
-                t_next += event.stall_s
-        start_step(r, t_next)
+                if rec is not None:
+                    rec.on_replace(t, r.replica_id, r.placement, event)
+                # the stall ends in its own event, so arrivals during it
+                # are admitted when it ends, not after the next step
+                push(t + event.stall_s, "resume", (r, r.epoch))
+                return
+        start_step(r, t)
 
     def migrate_queued(victim: Replica, t: float) -> None:
         """Hand a draining replica's queued requests back to the router.
@@ -574,6 +574,10 @@ def simulate_fleet_reference(
             if epoch != r.epoch:
                 continue  # stale: the replica was killed mid-step
             on_step_end(r, dt, t)
+        elif kind == "resume":
+            r, epoch = cast("tuple[Replica, int]", data)
+            if epoch == r.epoch:  # a replica killed mid-stall never resumes
+                start_step(r, t)
         elif kind == "boot":
             r = cast(Replica, data)
             r.transition_to(ReplicaState.RUNNING)

@@ -263,8 +263,7 @@ class Replica:
     def admit_up_to_capacity(self, now: float) -> list[ActiveEntry]:
         """Move queued requests into the batch: priority order, FCFS within.
 
-        Home GPUs round-robin over the replica's data-parallel ranks, as in
-        the single-replica online loop.
+        Home GPUs round-robin over the replica's data-parallel ranks.
         """
         admitted: list[ActiveEntry] = []
         for q in self.queues:

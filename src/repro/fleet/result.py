@@ -7,9 +7,9 @@ Both fleet engines — the event-heap reference oracle
 floating-point arithmetic or the shared rng stream therefore lives here,
 written once and called by both:
 
-* :func:`sample_paths_grouped` — the per-step routing-path draw, grouped
-  by regime in sorted order so rng consumption depends only on the batch's
-  regime multiset;
+* :func:`sample_paths_grouped` — the per-step routing-path draw from each
+  regime's model at the step's start time, grouped by regime in sorted
+  order so rng consumption depends only on the batch's regime multiset;
 * :func:`validate_fleet_inputs` — argument checking, including the
   regime-id range check (out-of-range regimes raise instead of silently
   clamping to the last regime);
@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.config import ClusterConfig, FleetConfig, ModelConfig
 from repro.engine.metrics import LatencyStats
+from repro.engine.workload import DriftScenario
 from repro.fleet.admission import AdmissionController
 from repro.fleet.autoscaler import ScaleEvent
 from repro.fleet.replica import ReplicaState, ReplicaStats
@@ -44,7 +45,6 @@ from repro.fleet.requests import (
     ShedRecord,
 )
 from repro.obs.recorder import MetricsRecorder
-from repro.trace.markov import MarkovRoutingModel
 
 __all__ = [
     "FleetResult",
@@ -145,27 +145,32 @@ class FleetResult:
 
 def sample_paths_grouped(
     regs: np.ndarray,
-    regimes: Sequence[MarkovRoutingModel],
+    regimes: Sequence[DriftScenario],
+    t: float,
     rng: np.random.Generator,
     num_layers: int,
 ) -> np.ndarray:
     """One (B, L) path matrix: each request draws from its own regime.
 
-    Grouped by regime so each regime model is sampled once per step;
-    groups iterate in sorted regime order, keeping rng use deterministic
-    (it depends only on the batch's regime multiset, not its order).
+    Each regime samples the model it names at ``t``, the step's start
+    (after admission cost).  Grouped by regime so each regime model is
+    sampled once per step; groups iterate in sorted regime order, keeping
+    rng use deterministic (it depends only on the batch's regime multiset,
+    not its order).
     """
+    if len(regimes) == 1:  # one group: the same draws, minus the grouping
+        return regimes[0].model_at(t).sample(int(regs.size), rng).paths
     paths = np.empty((regs.size, num_layers), dtype=np.int64)
     for k in np.unique(regs):
         idx = np.flatnonzero(regs == k)
-        paths[idx] = regimes[int(k)].sample(int(idx.size), rng).paths
+        paths[idx] = regimes[int(k)].model_at(t).sample(int(idx.size), rng).paths
     return paths
 
 
 def validate_fleet_inputs(
     reqs: Sequence[FleetRequest],
     model: ModelConfig,
-    regimes: Sequence[MarkovRoutingModel],
+    regimes: Sequence[DriftScenario],
     placements_by_regime: Sequence[object],
     fleet: FleetConfig,
     max_batch_requests: int,

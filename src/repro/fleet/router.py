@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.config import ROUTER_KINDS
 from repro.core.online import model_kept_mass
+from repro.engine.workload import DriftScenario
 from repro.fleet.replica import Replica
 from repro.fleet.requests import FleetRequest
 from repro.trace.markov import MarkovRoutingModel
@@ -305,7 +306,7 @@ class AffinityRouter(Router):
 
 def make_router(
     kind: str,
-    regimes: Sequence[MarkovRoutingModel] | None = None,
+    regimes: Sequence[DriftScenario] | None = None,
     load_weight: float = 1.0,
 ) -> Router:
     """Build the router policy ``kind`` names (see :data:`ROUTER_KINDS`)."""
@@ -318,5 +319,6 @@ def make_router(
     if kind == "affinity":
         if regimes is None:
             raise ValueError("affinity routing requires the regime model list")
-        return AffinityRouter(regimes, load_weight=load_weight)
+        # scored against each regime at t=0, the model its placement was fit to
+        return AffinityRouter([m.model_at(0.0) for m in regimes], load_weight=load_weight)
     raise ValueError(f"unknown router {kind!r}; choose from {ROUTER_KINDS}")

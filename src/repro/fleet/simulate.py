@@ -17,7 +17,10 @@ The fleet simulation exists twice, by design:
 models, solves one placement per regime, labels arrivals with regimes and
 priorities, and runs the selected engine.  The public way in is
 :func:`repro.run` with a ``fleet`` Scenario; these two functions are its
-implementation.
+implementation.  A regime is any
+:class:`~repro.engine.workload.DriftScenario`: the online scenario kind
+(:func:`~repro.engine.serving._simulate_online_serving`) calls the tick
+engine directly with one replica and one drifting regime.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.costs import CostModel
 from repro.engine.serving import PlacementStepTimer, Request, make_arrivals
+from repro.engine.workload import DriftScenario
 from repro.fleet.admission import AdmissionController
 from repro.fleet.engine import simulate_fleet_tick
 from repro.fleet.reference import simulate_fleet_reference
@@ -56,7 +60,7 @@ def _simulate_fleet_serving(
     requests: Iterable[FleetRequest],
     model: ModelConfig,
     cluster: ClusterConfig,
-    regimes: Sequence[MarkovRoutingModel],
+    regimes: Sequence[DriftScenario],
     placements_by_regime: Sequence[Placement],
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
@@ -68,6 +72,7 @@ def _simulate_fleet_serving(
     replace_halflife_tokens: float | None = None,
     dtype_bytes: int = 2,
     rng: np.random.Generator | None = None,
+    replace_rng: np.random.Generator | None = None,
     recorder: MetricsRecorder | None = None,
     profiler: PhaseProfiler | None = None,
 ) -> FleetResult:
@@ -82,7 +87,8 @@ def _simulate_fleet_serving(
     cap (the serving layer's knob, threaded through by the cluster entry
     point).  With ``fleet.replace`` on, each replica's re-placement loop
     uses ``replace_policy`` and a streaming estimator with
-    ``replace_halflife_tokens`` (defaults when ``None``).
+    ``replace_halflife_tokens`` (defaults when ``None``); every replica's
+    solver draws from the one ``replace_rng`` stream.
 
     ``fleet.engine`` selects the execution strategy — ``"event"`` for the
     heap oracle, ``"tick"`` for the vectorized engine; both return the
@@ -105,6 +111,7 @@ def _simulate_fleet_serving(
         replace_halflife_tokens=replace_halflife_tokens,
         dtype_bytes=dtype_bytes,
         rng=rng,
+        replace_rng=replace_rng,
         recorder=recorder,
         profiler=profiler,
     )
@@ -135,12 +142,13 @@ def _simulate_fleet_cluster_serving(
     ``regime_weight_at``) and priorities, and runs the engine
     ``fleet.engine`` selects.
 
-    Seed layout (all derived from ``serving.seed``, all disjoint —
-    mirroring the single-replica online loop): arrivals use ``seed``,
-    regime ``k``'s transition structure ``seed + 101*k`` (regime 0 matches
-    the drift scenarios' base regime), offline profiles ``seed + 7 + k``,
-    request labelling ``seed + 5``, and the live simulation stream
-    ``seed + 9``.  Pass ``arrivals`` to substitute a custom process (e.g.
+    Seed layout (all derived from ``serving.seed``, all disjoint):
+    arrivals use ``seed``, regime ``k``'s transition structure
+    ``seed + 101*k`` (regime 0 matches the drift scenarios' base regime),
+    offline profiles ``seed + 7 + k``, request labelling ``seed + 5``, the
+    live simulation stream ``seed + 9``, and the replicas' shared
+    re-placement solver stream ``seed + 3``.  Pass ``arrivals`` to
+    substitute a custom process (e.g.
     :func:`~repro.fleet.requests.flash_crowd_arrivals`) for the built-in
     Poisson/bursty families.
     """
@@ -196,6 +204,7 @@ def _simulate_fleet_cluster_serving(
         replace_policy=replace_policy,
         replace_halflife_tokens=replace_halflife_tokens,
         rng=np.random.default_rng(serving.seed + 9),
+        replace_rng=np.random.default_rng(serving.seed + 3),
         recorder=recorder,
         profiler=profiler,
     )

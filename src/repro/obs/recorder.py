@@ -1,10 +1,11 @@
 """Metric recorders: the engine hook surface and the timeline sampler.
 
 The simulators expose a small set of lifecycle hooks (arrival shed,
-enqueue, admit, step end, completion, replica boot/drain/stop, autoscale
-decisions, chaos faults).  :class:`MetricsRecorder` declares them once, as
-typed no-ops, and :data:`HOOKS` lists their names; a recorder subclasses
-it and overrides the hooks it cares about.  The engines only ever *call*
+enqueue, admit, step end, completion, online re-placement, replica
+boot/drain/stop, autoscale decisions, chaos faults).
+:class:`MetricsRecorder` declares them once, as typed no-ops, and
+:data:`HOOKS` lists their names; a recorder subclasses it and overrides
+the hooks it cares about.  The engines only ever *call*
 a recorder — recording is observation-only by contract, so a recorder
 must never draw rng samples or alter float evaluation order (see
 ``DESIGN.md`` "Observability").  Both fleet engines call the same hooks
@@ -33,9 +34,13 @@ dispatch entirely when no recorder is attached; a bare
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.config import ClusterConfig
+
+if TYPE_CHECKING:
+    from repro.core.online import ReplacementEvent
+    from repro.core.placement.base import Placement
 
 __all__ = ["HOOKS", "MetricsRecorder", "TeeRecorder", "TimelineRecorder", "run_meta"]
 
@@ -92,6 +97,12 @@ class MetricsRecorder:
         self, t_s: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
     ) -> None:
         """``req_id`` generated its last token on replica ``rid``."""
+
+    def on_replace(
+        self, t_s: float, rid: int, placement: Placement, event: ReplacementEvent
+    ) -> None:
+        """Replica ``rid`` migrated to ``placement`` at ``t_s``; it resumes
+        stepping after the ``event.stall_s`` migration stall."""
 
     def on_scale(
         self,

@@ -2,8 +2,9 @@
 
 ``run(scenario)`` inspects the spec's sections, dispatches to the right
 simulator — the lockstep batch engine, the single-replica continuous-
-batching loop, the online drift-aware loop, or the fleet event simulation
-— and condenses the outcome into one :class:`~repro.scenarios.report.SimReport`.
+batching loop, or a fleet engine (an online drift-aware scenario is a
+one-replica fleet) — and condenses the outcome into one
+:class:`~repro.scenarios.report.SimReport`.
 The full underlying result object stays reachable on ``report.raw``.
 
 ``run_sweep(scenarios)`` executes a list of scenarios (objects or
@@ -163,7 +164,11 @@ def _run_serving(s: Scenario, recorder: MetricsRecorder | None = None) -> SimRep
     )
 
 
-def _run_online(s: Scenario) -> SimReport:
+def _run_online(
+    s: Scenario,
+    recorder: MetricsRecorder | None = None,
+    profiler: PhaseProfiler | None = None,
+) -> SimReport:
     drift_kind = s.drift.kind if s.drift is not None else "none"
     policy = s.replacement.policy if s.replacement is not None else None
     halflife = s.replacement.halflife_tokens if s.replacement is not None else None
@@ -178,6 +183,8 @@ def _run_online(s: Scenario) -> SimReport:
         placement_strategy=s.placement_strategy,
         profile_tokens=s.profile_tokens,
         halflife_tokens=halflife,
+        recorder=recorder,
+        profiler=profiler,
     )
     serving = res.serving
     timeline = res.kept_timeline
@@ -290,14 +297,6 @@ def _run_fleet(
     )
 
 
-_RUNNERS = {
-    "batch": _run_batch,
-    "serving": _run_serving,
-    "online": _run_online,
-    "fleet": _run_fleet,
-}
-
-
 def make_recorder(scenario: Scenario | str) -> TimelineRecorder:
     """The :class:`TimelineRecorder` ``run`` would auto-attach for a spec.
 
@@ -400,7 +399,8 @@ def run(
     a ``TimelineRecorder``, its timeline document lands on
     ``report.timeline``; profiler phase seconds/fractions land in
     ``report.extra`` under ``profile_*`` keys.  Recorders attach to
-    serving and fleet scenarios, profilers to fleet scenarios only.
+    serving, online and fleet scenarios, profilers to online and fleet
+    scenarios (the two that run on a fleet engine).
 
     SLO monitoring: when ``telemetry.slo`` is set, a
     :class:`~repro.obs.detect.SignalDetector` rides the same hook stream
@@ -423,14 +423,15 @@ def run(
         recorder = make_recorder(s)
     if profiler is None and tele is not None and tele.profile:
         profiler = PhaseProfiler()
-    if recorder is not None and s.kind not in ("serving", "fleet"):
+    if recorder is not None and s.kind == "batch":
         raise ValueError(
-            f"recorders attach to serving and fleet scenarios, not kind {s.kind!r}"
+            "recorders attach to serving and fleet scenarios (online ones "
+            "included), not kind 'batch'"
         )
-    if profiler is not None and s.kind != "fleet":
+    if profiler is not None and s.kind not in ("online", "fleet"):
         raise ValueError(
-            f"profilers attach to fleet scenarios (phase timers live in the "
-            f"fleet engines), not kind {s.kind!r}"
+            f"profilers attach to online and fleet scenarios (phase timers live "
+            f"in the fleet engines), not kind {s.kind!r}"
         )
     detector: SignalDetector | None = None
     engine_recorder: MetricsRecorder | None = recorder
@@ -459,10 +460,12 @@ def run(
                 )
     if s.kind == "fleet":
         report = _run_fleet(s, recorder=engine_recorder, profiler=profiler)
+    elif s.kind == "online":
+        report = _run_online(s, recorder=recorder, profiler=profiler)
     elif s.kind == "serving":
         report = _run_serving(s, recorder=recorder)
     else:
-        report = _RUNNERS[s.kind](s)
+        report = _run_batch(s)
     timeline_rec = next(
         (r for r in leaves if isinstance(r, TimelineRecorder)), None
     )

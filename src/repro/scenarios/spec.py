@@ -99,8 +99,8 @@ class TelemetrySpec:
     ``window_s=None`` enables the deterministic auto-sizing window,
     ``spans=False`` keeps timelines but drops Chrome-trace span logging,
     ``max_span_events`` bounds span memory.  ``profile=True`` additionally
-    attaches a :class:`repro.obs.profile.PhaseProfiler` (fleet scenarios
-    only — the phase timers live in the fleet engines) and reports the
+    attaches a :class:`repro.obs.profile.PhaseProfiler` (online and fleet
+    scenarios — the phase timers live in the fleet engines) and reports the
     phase breakdown in ``SimReport.extra``.
 
     ``slo`` attaches a :class:`repro.obs.slo.SloSpec` (fleet scenarios
@@ -264,9 +264,9 @@ class Scenario:
         Offline profiling trace length for affinity placements in the
         online and fleet paths.
     telemetry:
-        Optional observability attachment (serving and fleet kinds): a
-        :class:`TelemetrySpec` makes ``run`` record a per-window metric
-        timeline (``SimReport.timeline``), span traces, and — with
+        Optional observability attachment (serving, online and fleet
+        kinds): a :class:`TelemetrySpec` makes ``run`` record a per-window
+        metric timeline (``SimReport.timeline``), span traces, and — with
         ``profile=True`` — the simulator's own phase breakdown.
     """
 
@@ -358,14 +358,15 @@ class Scenario:
                 "a fleet scenario with a replacement section needs fleet.replace=True"
             )
         if self.telemetry is not None:
-            if self.kind not in ("serving", "fleet"):
+            if self.kind == "batch":
                 raise ValueError(
-                    "telemetry sections apply to serving and fleet scenarios only"
+                    "telemetry sections apply to serving and fleet scenarios "
+                    "(online ones included), not batch"
                 )
-            if self.telemetry.profile and self.fleet is None:
+            if self.telemetry.profile and self.kind == "serving":
                 raise ValueError(
-                    "telemetry.profile requires a fleet section "
-                    "(the phase timers live in the fleet engines)"
+                    "telemetry.profile requires a fleet section or an online "
+                    "scenario (the phase timers live in the fleet engines)"
                 )
             if self.telemetry.slo is not None and self.fleet is None:
                 raise ValueError(

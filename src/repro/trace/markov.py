@@ -143,6 +143,10 @@ class MarkovRoutingModel:
             )
         )
 
+    def model_at(self, t: float) -> MarkovRoutingModel:
+        """A fixed router is its own constant drift scenario."""
+        return self
+
     def sample(self, num_tokens: int, rng: np.random.Generator | None = None) -> RoutingTrace:
         """Draw ``num_tokens`` expert paths, fully vectorised.
 

@@ -204,11 +204,69 @@ def test_scale_down_and_migration(migrate):
 
 
 def test_online_replacement():
-    # fleet.replace seeds one replacer rng per replica from the shared
-    # stream — creation order must match between engines
+    # fleet.replace gives every replica's replacer the one caller-supplied
+    # solver stream — the engines must draw from it in the same order
     fleet = FleetConfig(num_replicas=2, router="p2c", replace=True)
     event, tick = run_both(fleet)
     assert_identical(event, tick)
+
+
+def test_one_replica_drifting_regime_with_replacement():
+    # the online scenario's shape: one replica, one drifting regime,
+    # live re-placement with its migration stalls
+    import numpy as np
+
+    from repro.core.online import ReplacementPolicy
+    from repro.core.placement.registry import solve_placement
+    from repro.engine.serving import make_arrivals
+    from repro.engine.workload import GradualDrift
+    from repro.fleet.requests import FleetRequest
+    from repro.fleet.simulate import _simulate_fleet_serving
+    from repro.obs.recorder import TimelineRecorder
+    from repro.trace.markov import MarkovRoutingModel
+
+    start, end = (
+        MarkovRoutingModel.with_affinity(8, 4, 0.9, rng=np.random.default_rng(s))
+        for s in (0, 101)
+    )
+    drift = GradualDrift(start, end, t_start=0.02, t_end=0.1)
+    placement = solve_placement(
+        "staged", start.sample(2048, np.random.default_rng(1)), CLUSTER
+    )
+    reqs = [
+        FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len)
+        for q in make_arrivals(SERVING, np.random.default_rng(0))
+    ]
+    policy = ReplacementPolicy(
+        check_every_steps=4, min_effective_tokens=64, cooldown_steps=8
+    )
+    results, timelines = [], []
+    for engine in ("event", "tick"):
+        rec = TimelineRecorder()
+        fleet = FleetConfig(
+            num_replicas=1,
+            router="round-robin",
+            num_regimes=1,
+            max_queue_per_replica=len(reqs),
+            replace=True,
+            engine=engine,
+        )
+        results.append(
+            _simulate_fleet_serving(
+                reqs, MODEL, CLUSTER, [drift], [placement], fleet,
+                max_batch_requests=SERVING.max_batch_requests,
+                replace_policy=policy,
+                replace_halflife_tokens=128.0,
+                rng=np.random.default_rng(2),
+                replace_rng=np.random.default_rng(3),
+                recorder=rec,
+            )
+        )
+        timelines.append(rec.timeline())
+    event, tick = results
+    assert event.replicas[0].replacements > 0
+    assert_identical(event, tick)
+    assert timelines[0] == timelines[1]
 
 
 def test_top2_gating_secondary_paths():

@@ -14,6 +14,7 @@ from repro.fleet.requests import (
     make_fleet_requests,
 )
 from repro.fleet.simulate import _simulate_fleet_cluster_serving, _simulate_fleet_serving
+from repro.obs.recorder import MetricsRecorder
 from repro.trace.markov import MarkovRoutingModel
 
 
@@ -340,3 +341,79 @@ class TestFleetServing:
             assert s.decode_steps > 0
             assert s.busy_s > 0
             assert 0 < s.mean_batch_size <= serving.max_batch_requests
+
+
+class TestMigrationStall:
+    """A migration stall is its own event: work that arrives during it is
+    admitted the moment it ends, not after the next decode step."""
+
+    class _Replacements(MetricsRecorder):
+        def __init__(self):
+            self.seen = []
+
+        def on_replace(self, t_s, rid, placement, event):
+            self.seen.append((t_s, event))
+
+    def _run(self, model, cluster, reqs, engine, chaos=None):
+        from repro.core.online import ReplacementPolicy
+        from repro.core.placement.vanilla import vanilla_placement
+
+        rec = self._Replacements()
+        regime = MarkovRoutingModel.with_affinity(8, 4, 0.95, rng=np.random.default_rng(1))
+        fleet = FleetConfig(
+            num_replicas=1,
+            num_regimes=1,
+            router="round-robin",
+            replace=True,
+            engine=engine,
+            chaos=chaos,
+        )
+        # a flat placement under strongly affine traffic: the forced
+        # re-solve at step 5 always finds a better one and migrates
+        policy = ReplacementPolicy(
+            replace_every_steps=5, min_effective_tokens=0, cooldown_steps=0
+        )
+        res = _simulate_fleet_serving(
+            reqs,
+            model,
+            cluster,
+            [regime],
+            [vanilla_placement(4, 8, 4)],
+            fleet,
+            replace_policy=policy,
+            rng=np.random.default_rng(0),
+            replace_rng=np.random.default_rng(1),
+            recorder=rec,
+        )
+        return res, rec.seen
+
+    def _first_stall(self, model, cluster):
+        _, seen = self._run(model, cluster, [FleetRequest(0, 0.0, 8, 12)], "event")
+        t, event = seen[0]
+        assert event.step == 5 and event.stall_s > 0
+        return t, event
+
+    @pytest.mark.parametrize("engine", ["event", "tick"])
+    def test_arrival_during_stall_is_admitted_when_it_ends(self, model, cluster, engine):
+        t, event = self._first_stall(model, cluster)
+        reqs = [FleetRequest(0, 0.0, 8, 12), FleetRequest(1, t + event.stall_s / 2, 8, 4)]
+        res, _ = self._run(model, cluster, reqs, engine)
+        admitted = {c.request.req_id: c.admitted_s for c in res.completed}
+        assert admitted[1] == t + event.stall_s
+
+    def test_replica_killed_mid_stall_never_resumes(self, model, cluster):
+        from repro.chaos import ChaosSpec, CrashSpec, RetryPolicy
+
+        t, event = self._first_stall(model, cluster)
+        chaos = ChaosSpec(
+            crashes=(CrashSpec(t + event.stall_s / 2, 0),),
+            retry=RetryPolicy(max_attempts=1),
+            recover=False,
+        )
+        reqs = [FleetRequest(0, 0.0, 8, 12)]
+        event_res, _ = self._run(model, cluster, reqs, "event", chaos)
+        tick_res, _ = self._run(model, cluster, reqs, "tick", chaos)
+        assert tick_res == event_res
+        assert event_res.completed == ()
+        assert [lost.request.req_id for lost in event_res.lost] == [0]
+        assert event_res.replicas[0].decode_steps == event.step

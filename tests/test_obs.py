@@ -83,7 +83,7 @@ class _LoggingRecorder(MetricsRecorder):
 
 class TestHookSurface:
     def test_hooks_are_the_base_class_methods(self):
-        assert len(HOOKS) == 18
+        assert len(HOOKS) == 19
         assert set(HOOKS) == hook_names(MetricsRecorder)
 
     def test_bare_recorder_accepts_every_hook(self):
@@ -445,6 +445,16 @@ class TestRunFacadeTelemetry:
         assert report.extra["profile_total_s"] > 0.0
         fracs = [report.extra[f"profile_{p}_frac"] for p in PROFILE_PHASES]
         assert sum(fracs) == pytest.approx(1.0)
+
+    def test_online_scenario_records_without_changing_results(self):
+        bare = run("fig15-abrupt-smoke")
+        recorded = run("fig15-abrupt-smoke", recorder=TimelineRecorder())
+        assert recorded.timeline["totals"]["completed"] == recorded.completed
+        assert recorded.raw.kept_timeline == bare.raw.kept_timeline
+        assert recorded.raw.events == bare.raw.events
+        assert dataclasses.replace(recorded, timeline=None, raw=None) == dataclasses.replace(
+            bare, raw=None
+        )
 
     def test_no_telemetry_means_no_timeline(self):
         report = run(_serving_scenario())

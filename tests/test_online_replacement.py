@@ -47,10 +47,11 @@ from repro.engine.workload import (
     DRIFT_KINDS,
     DiurnalDrift,
     GradualDrift,
-    StaticRouting,
     make_decode_workload,
     make_drift_scenario,
 )
+from repro.scenarios import get_scenario
+from repro.scenarios import run as run_scenario
 from repro.trace.events import CountTrace
 from repro.trace.markov import MarkovRoutingModel
 
@@ -420,9 +421,10 @@ class TestOnlineReplacer:
 
 class TestDriftScenarios:
     def test_static_routing(self, regime_a):
-        s = StaticRouting(regime_a)
+        s = regime_a  # a fixed router is its own constant drift scenario
         assert s.model_at(0.0) is regime_a and s.model_at(1e9) is regime_a
         assert s.num_experts == 8 and s.num_layers == 4
+        assert isinstance(make_drift_scenario("none", 8, 4, horizon_s=1.0), MarkovRoutingModel)
 
     def test_abrupt_switch(self, regime_a, regime_b):
         s = AbruptDrift(regime_a, regime_b, switch_t=10.0)
@@ -660,3 +662,27 @@ class TestOnlineServing:
         res = _simulate_online_cluster_serving(model, cluster, serving, drift="none")
         kepts = [s.true_kept for s in res.kept_timeline]
         assert max(kepts) - min(kepts) < 1e-9
+
+
+# The fig15 smoke presets' report fields, pinned before the online scenario
+# kind moved onto the one-replica fleet engine: the perf benchmark's digest
+# fields plus the step, replacement and kept-mass account.  Every value must
+# reproduce bit for bit.
+FIG15_SMOKE_PINNED = {
+    ("gradual", "online"): {"completed": 160, "shed": 0, "lost": 0, "generated_tokens": 1920, "makespan_s": 0.18353711745562581, "latency_p50_s": 0.00041297312, "latency_p95_s": 0.0009349000915385582, "latency_p99_s": 0.0010359652189914856, "availability": 1.0, "detection": {}, "decode_steps": 1518, "num_replacements": 2, "kept_mass_initial": 0.6513888888888889, "kept_mass_final": 0.5805555555555556},
+    ("gradual", "static"): {"completed": 160, "shed": 0, "lost": 0, "generated_tokens": 1920, "makespan_s": 0.18369908460229256, "latency_p50_s": 0.0004796473810173077, "latency_p95_s": 0.0010576231804180609, "latency_p99_s": 0.001108167874698241, "availability": 1.0, "detection": {}, "decode_steps": 1477, "num_replacements": 0, "kept_mass_initial": 0.6513888888888889, "kept_mass_final": 0.14375},
+    ("abrupt", "online"): {"completed": 160, "shed": 0, "lost": 0, "generated_tokens": 1920, "makespan_s": 0.18343548979340354, "latency_p50_s": 0.00040749525244926366, "latency_p95_s": 0.0008084740753688715, "latency_p99_s": 0.0008752208023134288, "availability": 1.0, "detection": {}, "decode_steps": 1527, "num_replacements": 2, "kept_mass_initial": 0.6513888888888889, "kept_mass_final": 0.6986111111111112},
+    ("abrupt", "static"): {"completed": 160, "shed": 0, "lost": 0, "generated_tokens": 1920, "makespan_s": 0.18369908460229256, "latency_p50_s": 0.000488057813333366, "latency_p95_s": 0.00105690169906901, "latency_p99_s": 0.001108167874698241, "availability": 1.0, "detection": {}, "decode_steps": 1482, "num_replacements": 0, "kept_mass_initial": 0.6513888888888889, "kept_mass_final": 0.14375},
+    ("diurnal", "online"): {"completed": 160, "shed": 0, "lost": 0, "generated_tokens": 1920, "makespan_s": 0.1834723036885146, "latency_p50_s": 0.0004169739733333386, "latency_p95_s": 0.0009390374367608018, "latency_p99_s": 0.0010184320650003407, "availability": 1.0, "detection": {}, "decode_steps": 1519, "num_replacements": 5, "kept_mass_initial": 0.6513888888888889, "kept_mass_final": 0.6085937500000002},
+    ("diurnal", "static"): {"completed": 160, "shed": 0, "lost": 0, "generated_tokens": 1920, "makespan_s": 0.18348593673276942, "latency_p50_s": 0.00044857315818249907, "latency_p95_s": 0.0009552973500214666, "latency_p99_s": 0.001011958836437813, "availability": 1.0, "detection": {}, "decode_steps": 1499, "num_replacements": 0, "kept_mass_initial": 0.6513888888888889, "kept_mass_final": 0.6196614583333334},
+}
+
+
+@pytest.mark.parametrize("drift, arm", sorted(FIG15_SMOKE_PINNED))
+def test_fig15_smoke_reports_are_pinned(drift, arm):
+    spec = get_scenario(f"fig15-{drift}-smoke")
+    if arm == "static":
+        spec = dataclasses.replace(spec, replacement=None)
+    report = run_scenario(spec)
+    pinned = FIG15_SMOKE_PINNED[(drift, arm)]
+    assert {f: getattr(report, f) for f in pinned} == pinned
