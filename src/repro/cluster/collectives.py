@@ -94,16 +94,15 @@ class CollectiveResult:
 
 
 ZERO_RESULT = CollectiveResult(op="noop", time_s=0.0, bytes_by_tier={}, rounds=0)
+_TIERS = tuple(Tier)
 
 
-def _validate_traffic(topo: Topology, traffic: np.ndarray) -> np.ndarray:
-    traffic = np.asarray(traffic, dtype=np.float64)
-    g = topo.num_gpus
-    if traffic.shape != (g, g):
-        raise ValueError(f"traffic must be ({g}, {g}), got {traffic.shape}")
-    if (traffic < 0).any():
-        raise ValueError("traffic bytes must be non-negative")
-    return traffic
+def _check_bytes(arr: np.ndarray, what: str) -> None:
+    """Reject payloads that cannot be priced: NaN, infinite or negative bytes."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    if (arr < 0).any():
+        raise ValueError(f"{what} must be non-negative")
 
 
 def _alltoall_batched(
@@ -113,8 +112,13 @@ def _alltoall_batched(
 
     One pairwise-exchange round loop covers the whole batch: round ``r``
     gathers every slice's (rank, (rank + r) mod G) payloads into a (T, G)
-    matrix and reduces over the rank axis.  Inactive rounds (zero payload)
-    contribute exactly 0.0, matching the single-collective skip.
+    matrix with one flat-index take (:attr:`Topology.alltoall_rounds`) and
+    reduces over the rank axis.  Idle pairs are masked to 0.0 before the
+    max; every priced pair costs ``>= 0`` on finite input, so the round
+    time equals the max over active pairs and an idle round adds exactly
+    0.0, matching the single-collective skip.  The loop stays per round:
+    gathering all rounds at once would materialise a (T, G-1, G) copy of
+    the stack several times over.
     """
     g = topo.num_gpus
     t_count = stack.shape[0]
@@ -123,21 +127,17 @@ def _alltoall_batched(
         tier_bytes = [{Tier.LOCAL: float(stack[i].sum())} for i in range(t_count)]
         return times, tier_bytes, 0
 
-    lat = topo.latency_matrix
-    inv_bw = topo.inv_bandwidth_matrix
-    ranks = np.arange(g)
-
+    flat = stack.reshape(t_count, g * g)
     times = np.zeros(t_count)
-    for r in range(1, g):
-        dst = (ranks + r) % g
-        nbytes = stack[:, ranks, dst]  # (T, G)
-        per_pair = lat[ranks, dst][None, :] + nbytes * inv_bw[ranks, dst][None, :]
-        round_t = np.where(nbytes > 0, per_pair, -np.inf).max(axis=1)
-        times += np.where(np.isfinite(round_t), round_t, 0.0)
+    for idx, lat, inv_bw in topo.alltoall_rounds:
+        nbytes = flat.take(idx, axis=1)  # (T, G)
+        per_pair = lat + nbytes * inv_bw
+        times += np.where(nbytes > 0, per_pair, 0.0).max(axis=1)
 
-    tiers = topo.tier_matrix
-    per_tier = {t: stack[:, tiers == t].sum(axis=1) for t in Tier}
-    tier_bytes = [{t: float(per_tier[t][i]) for t in Tier} for i in range(t_count)]
+    # ``take`` yields C-contiguous rows, so each slice's sum is reduced in
+    # the same order as a single call's (a boolean-mask gather would not be)
+    columns = [flat.take(idx, axis=1).sum(axis=1).tolist() for idx in topo.tier_pairs]
+    tier_bytes = [dict(zip(_TIERS, row, strict=True)) for row in zip(*columns, strict=True)]
     return times, tier_bytes, g - 1
 
 
@@ -162,7 +162,9 @@ def alltoall_matrix(
     arr = np.asarray(traffic, dtype=np.float64)
     g = topo.num_gpus
     if arr.ndim == 2:
-        arr = _validate_traffic(topo, arr)
+        if arr.shape != (g, g):
+            raise ValueError(f"traffic must be ({g}, {g}), got {arr.shape}")
+        _check_bytes(arr, "traffic bytes")
         times, tier_bytes, rounds = _alltoall_batched(topo, arr[None])
         return CollectiveResult("alltoall", float(times[0]), tier_bytes[0], rounds)
     if arr.ndim == 3:
@@ -170,8 +172,7 @@ def alltoall_matrix(
             raise ValueError(
                 f"stacked traffic must be (T, {g}, {g}), got {arr.shape}"
             )
-        if (arr < 0).any():
-            raise ValueError("traffic bytes must be non-negative")
+        _check_bytes(arr, "traffic bytes")
         times, tier_bytes, rounds = _alltoall_batched(topo, arr)
         return [
             CollectiveResult("alltoall", float(times[i]), tier_bytes[i], rounds)
@@ -210,21 +211,20 @@ def _allgather_batched(
     lat = topo.latency_matrix[ranks, nxt]
     inv_bw = topo.inv_bandwidth_matrix[ranks, nxt]
     tiers = topo.tier_matrix[ranks, nxt]
-    tier_sel = {t: tiers == t for t in Tier}
+    links = {t: np.flatnonzero(tiers == t) for t in Tier if (tiers == t).any()}
 
     times = np.zeros(t_count)
-    acc = {t: np.zeros(t_count) for t in Tier}
+    acc = {t: np.zeros(t_count) for t in links}
     for s in range(g - 1):
-        chunk = contrib[:, (ranks - s) % g]  # (T, G)
-        per_link = lat[None, :] + chunk * inv_bw[None, :]
-        step_t = np.where(chunk > 0, per_link, -np.inf).max(axis=1)
-        times += np.where(np.isfinite(step_t), step_t, 0.0)
-        for t in Tier:
-            if tier_sel[t].any():
-                acc[t] += chunk[:, tier_sel[t]].sum(axis=1)
+        chunk = contrib.take((ranks - s) % g, axis=1)  # (T, G), C-contiguous
+        per_link = lat + chunk * inv_bw
+        times += np.where(chunk > 0, per_link, 0.0).max(axis=1)
+        for t, idx in links.items():
+            acc[t] += chunk.take(idx, axis=1).sum(axis=1)
 
+    columns = {t: a.tolist() for t, a in acc.items()}
     tier_bytes = [
-        {t: float(acc[t][i]) for t in Tier if acc[t][i] > 0} for i in range(t_count)
+        {t: col[i] for t, col in columns.items() if col[i] > 0} for i in range(t_count)
     ]
     return times, tier_bytes, g - 1
 
@@ -246,15 +246,13 @@ def allgather_cost(
     arr = np.asarray(bytes_per_rank, dtype=np.float64)
     if arr.ndim <= 1:
         contrib = np.broadcast_to(arr, (g,)).copy()
-        if (contrib < 0).any():
-            raise ValueError("bytes_per_rank must be non-negative")
+        _check_bytes(contrib, "bytes_per_rank")
         times, tier_bytes, rounds = _allgather_batched(topo, contrib[None])
         return CollectiveResult("allgather", float(times[0]), tier_bytes[0], rounds)
     if arr.ndim == 2:
         if arr.shape[1] != g:
             raise ValueError(f"stacked contributions must be (T, {g}), got {arr.shape}")
-        if (arr < 0).any():
-            raise ValueError("bytes_per_rank must be non-negative")
+        _check_bytes(arr, "bytes_per_rank")
         times, tier_bytes, rounds = _allgather_batched(topo, arr)
         return [
             CollectiveResult("allgather", float(times[i]), tier_bytes[i], rounds)

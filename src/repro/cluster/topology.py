@@ -132,6 +132,32 @@ class Topology:
         )
         return inv_bw[self.tier_matrix]
 
+    @cached_property
+    def tier_pairs(self) -> tuple[np.ndarray, ...]:
+        """Flat ``src * G + dst`` indices of the rank pairs in each :class:`Tier`."""
+        flat = self.tier_matrix.ravel()
+        return tuple(np.flatnonzero(flat == t) for t in Tier)
+
+    @cached_property
+    def alltoall_rounds(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per-round tables of the pairwise-exchange Alltoall.
+
+        Entry ``r - 1`` belongs to round ``r`` (rank ``i`` sends to
+        ``(i + r) mod G``) and holds the flat ``src * G + dst`` index of each
+        rank's pair plus that pair's latency and inverse bandwidth, so a
+        round reads its (T, G) payloads with one gather.
+        """
+        g = self.num_gpus
+        ranks = np.arange(g)
+        rounds = []
+        for r in range(1, g):
+            dst = (ranks + r) % g
+            rounds.append(
+                (ranks * g + dst, self.latency_matrix[ranks, dst],
+                 self.inv_bandwidth_matrix[ranks, dst])
+            )
+        return tuple(rounds)
+
     # -- grouping helpers ---------------------------------------------------
 
     def gpus_of_node(self, node: int) -> np.ndarray:

@@ -502,6 +502,21 @@ class PlacementStepTimer:
         self.cost = cost_model or CostModel(model, gpu_flops=cluster.gpu_flops)
         self.token_bytes = self.cost.token_bytes(dtype_bytes)
         self.coherent = mode.uses_context_coherence
+        # AllGather seconds by payload bytes: few distinct payloads recur
+        self._allgather_memo: dict[bytes, float] = {}
+
+    def _allgather_s(self, payload: np.ndarray) -> float:
+        """Seconds of one context AllGather of ``payload``, memoised exactly.
+
+        The price is a pure function of the (G,) float payload, so keying
+        on its bytes returns the very float a fresh call would.  A miss
+        calls the module-global :func:`allgather_cost`.
+        """
+        key = payload.tobytes()
+        time_s = self._allgather_memo.get(key)
+        if time_s is None:
+            time_s = self._allgather_memo[key] = allgather_cost(self.topo, payload).time_s
+        return time_s
 
     def _check_inputs(
         self, paths: np.ndarray, home_gpu: np.ndarray, context_lens: np.ndarray
@@ -620,7 +635,7 @@ class PlacementStepTimer:
         comm_s = sum(res.time_s for res in alltoall_matrix(self.topo, dispatch))
         if self.coherent:
             payload = np.bincount(home, minlength=g).astype(np.float64) * self.token_bytes
-            comm_s += allgather_cost(self.topo, payload).time_s
+            comm_s += self._allgather_s(payload)
         else:
             combine = stacks(gpu_path, np.broadcast_to(home[:, None], (b, L)))
             comm_s += sum(res.time_s for res in alltoall_matrix(self.topo, combine))
@@ -636,14 +651,20 @@ class PlacementStepTimer:
         """
         home = np.asarray(home_gpu, dtype=np.int64)
         plen = np.asarray(prompt_lens, dtype=np.int64)
-        if home.shape != plen.shape:
-            raise ValueError("home_gpu and prompt_lens must align")
-        if home.size == 0 or not self.coherent:
+        if home.ndim != 1 or home.shape != plen.shape:
+            raise ValueError("home_gpu and prompt_lens must be aligned 1-D arrays")
+        if home.size == 0:
+            return 0.0
+        if home.min() < 0 or home.max() >= self.cluster.num_gpus:
+            raise ValueError("home GPU rank out of range")
+        if plen.min() < 0:
+            raise ValueError("prompt lengths must be >= 0")
+        if not self.coherent:
             return 0.0
         payload = np.bincount(
             home, weights=plen.astype(np.float64), minlength=self.cluster.num_gpus
         )
-        return float(allgather_cost(self.topo, payload * self.token_bytes).time_s)
+        return self._allgather_s(payload * self.token_bytes)
 
 
 @dataclass(frozen=True)

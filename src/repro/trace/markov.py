@@ -18,6 +18,7 @@ hypothesis), 1 gives near-deterministic expert chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,25 +152,35 @@ class MarkovRoutingModel:
         """Draw ``num_tokens`` expert paths, fully vectorised.
 
         Sampling uses the inverse-CDF trick per layer: with all tokens'
-        current experts known, gather their transition rows, cumsum, and
-        compare against one uniform draw per token.
+        current experts known, gather their rows of the cached transition
+        CDFs and compare against one uniform draw per token.  Gathering
+        cumsum'd rows equals cumsum'ing gathered rows (the accumulate is
+        sequential along each row), and the one ``(L, N)`` draw yields the
+        same doubles in the same order as one ``N``-draw per layer.
         """
         if num_tokens < 0:
             raise ValueError("num_tokens must be >= 0")
         rng = rng or np.random.default_rng(0)
         e, L = self.num_experts, self.num_layers
         paths = np.empty((num_tokens, L), dtype=np.int64)
-        prior = self.prior if self.prior is not None else np.full(e, 1.0 / e)
+        cdf0, cdfs = self._cdfs
+        u = rng.random((L, num_tokens))
 
-        cdf0 = np.cumsum(prior)
-        paths[:, 0] = np.searchsorted(cdf0, rng.random(num_tokens), side="right").clip(0, e - 1)
+        # both searches return counts in [0, E]; only the top needs clamping
+        paths[:, 0] = np.minimum(np.searchsorted(cdf0, u[0], side="right"), e - 1)
         for j in range(L - 1):
-            rows = self.transitions[j][paths[:, j]]  # (N, E)
-            cdf = np.cumsum(rows, axis=1)
-            u = rng.random((num_tokens, 1))
-            paths[:, j + 1] = (cdf < u).sum(axis=1).clip(0, e - 1)
-        return RoutingTrace(paths, e, source=f"markov(a={self._affinity_label()})")
+            cdf = cdfs[j][paths[:, j]]  # (N, E)
+            paths[:, j + 1] = np.minimum((cdf < u[j + 1, :, None]).sum(axis=1), e - 1)
+        return RoutingTrace(paths, e, source=f"markov(a={self._affinity_label})")
 
+    @cached_property
+    def _cdfs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E,) prior CDF and (L-1, E, E) row CDFs of the transition stack."""
+        e = self.num_experts
+        prior = self.prior if self.prior is not None else np.full(e, 1.0 / e)
+        return np.cumsum(prior), np.cumsum(self.transitions, axis=2)
+
+    @cached_property
     def _affinity_label(self) -> str:
         # diagnostic: mean max-row-probability across layers
         return f"{float(self.transitions.max(axis=2).mean()):.2f}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,99 @@ class TestCollectiveResult:
         assert c.time_s == pytest.approx(a.time_s + b.time_s)
         assert c.total_bytes == pytest.approx(a.total_bytes + b.total_bytes)
         assert c.rounds == a.rounds + b.rounds
+
+
+class TestNonFiniteRejected:
+    """NaN or infinite bytes cannot be priced; they used to cost 0.0 s."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_alltoall_single(self, topo, bad):
+        traffic = np.full((4, 4), bad)
+        np.fill_diagonal(traffic, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            alltoall_matrix(topo, traffic)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_alltoall_stacked(self, topo, bad):
+        stack = np.zeros((3, 4, 4))
+        stack[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            alltoall_matrix(topo, stack)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_allgather_single(self, topo, bad):
+        with pytest.raises(ValueError, match="finite"):
+            allgather_cost(topo, bad)
+        with pytest.raises(ValueError, match="finite"):
+            allgather_cost(topo, np.array([1.0, bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_allgather_stacked(self, topo, bad):
+        contrib = np.ones((3, 4))
+        contrib[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            allgather_cost(topo, contrib)
+
+    def test_single_gpu_rejects_too(self):
+        topo = Topology(ClusterConfig(num_nodes=1, gpus_per_node=1))
+        with pytest.raises(ValueError, match="finite"):
+            alltoall_matrix(topo, np.array([[np.nan]]))
+        with pytest.raises(ValueError, match="finite"):
+            allgather_cost(topo, np.inf)
+
+
+def _random_stacks(g: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-integer (6, G, G) traffic and (6, G) contributions with idle rounds."""
+    rng = np.random.default_rng(seed)
+    traffic = rng.random((6, g, g)) * 1e6
+    traffic[rng.random((6, g, g)) < 0.5] = 0.0
+    traffic[2] = 0.0  # every round idle
+    ranks = np.arange(g)
+    traffic[4, ranks, (ranks + 1) % g] = 0.0  # round 1 idle, the others busy
+    contrib = rng.random((6, g)) * 1e6
+    contrib[rng.random((6, g)) < 0.4] = 0.0
+    contrib[3] = 0.0
+    return traffic, contrib
+
+
+def _results_digest(results) -> str:
+    h = hashlib.sha256()
+    for r in results:
+        h.update(np.float64(r.time_s).tobytes())
+        h.update(repr(sorted((int(t), v) for t, v in r.bytes_by_tier.items())).encode())
+        h.update(str(r.rounds).encode())
+    return h.hexdigest()[:16]
+
+
+class TestStackedMatchesSingle:
+    """The batched round loop prices every slice exactly as a single call."""
+
+    @pytest.mark.parametrize(
+        ("nodes", "gpus", "pinned_a2a", "pinned_ag"),
+        [
+            (1, 1, "42f17541cfde5b64", "1807ae50b2799fb5"),
+            (2, 2, "fb2e066b0c38632a", "cc47adb7e5387cdd"),
+            (4, 4, "e5f1cc207a36c3f4", "acacf93a2eb19110"),
+        ],
+    )
+    def test_field_for_field(self, nodes, gpus, pinned_a2a, pinned_ag):
+        topo = Topology(ClusterConfig(num_nodes=nodes, gpus_per_node=gpus))
+        traffic, contrib = _random_stacks(topo.num_gpus, seed=7 + topo.num_gpus)
+        stacked = alltoall_matrix(topo, traffic)
+        single = [alltoall_matrix(topo, traffic[i]) for i in range(len(traffic))]
+        assert stacked == single
+        gathered = allgather_cost(topo, contrib)
+        assert gathered == [allgather_cost(topo, contrib[i]) for i in range(len(contrib))]
+        assert stacked[2].time_s == 0.0 and gathered[3].time_s == 0.0
+        # the prices single calls produced with the -inf/isfinite round reduction
+        assert _results_digest(stacked) == pinned_a2a
+        assert _results_digest(gathered) == pinned_ag
+
+    def test_round_tables_cover_off_diagonal_once(self, big_topo):
+        g = big_topo.num_gpus
+        idx = np.concatenate([r[0] for r in big_topo.alltoall_rounds])
+        assert len(big_topo.alltoall_rounds) == g - 1
+        assert sorted(idx.tolist()) == [a * g + b for a in range(g) for b in range(g) if a != b]
+        for flat, lat, inv_bw in big_topo.alltoall_rounds:
+            np.testing.assert_array_equal(lat, big_topo.latency_matrix.ravel()[flat])
+            np.testing.assert_array_equal(inv_bw, big_topo.inv_bandwidth_matrix.ravel()[flat])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from repro.config import ExecutionMode, InferenceConfig, ServingConfig
 from repro.engine.metrics import LatencyStats
+from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.serving import (
+    PlacementStepTimer,
     Request,
     bursty_arrivals,
     engine_step_time,
@@ -408,3 +411,100 @@ class TestClusterServing:
         b = _simulate_cluster_serving(small_model, small_cluster, serving)
         assert a.latency == b.latency
         assert a.makespan_s == b.makespan_s
+
+
+def _timer_calls(seed: int = 5) -> list[tuple[str, tuple]]:
+    """A random step/admission sequence on a 2x2 cluster; home vectors recur."""
+    rng = np.random.default_rng(seed)
+    calls: list[tuple[str, tuple]] = []
+    for _ in range(40):
+        b = int(rng.integers(1, 6))
+        home = rng.integers(0, 2, size=b) if rng.random() < 0.5 else rng.integers(0, 4, size=b)
+        paths = rng.integers(0, 8, size=(b, 4))
+        ctx = rng.integers(1, 64, size=b)
+        calls.append(("step", (paths, home, ctx)))
+        if rng.random() < 0.4:
+            calls.append(("admit", (home, rng.integers(0, 3, size=b) * 8)))
+    return calls
+
+
+def _run_calls(timer, calls, placement) -> list[float]:
+    out = []
+    for kind, args in calls:
+        if kind == "step":
+            out.append(timer.step_time(*args, placement))
+        else:
+            out.append(timer.admission_time(*args))
+    return out
+
+
+class TestPlacementStepTimerMemo:
+    """The memoised AllGather returns exactly the float a fresh timer would."""
+
+    @pytest.fixture
+    def setup(self, small_model, small_cluster):
+        placement = vanilla_placement(4, 8, small_cluster.num_gpus)
+        return small_model, small_cluster, placement
+
+    @pytest.mark.parametrize(
+        ("mode", "pinned"),
+        [
+            (ExecutionMode.EXFLOW, "775edb56f3e86b5f"),
+            (ExecutionMode.VANILLA, "2011374c09ff247e"),
+        ],
+    )
+    def test_memoised_timer_matches_fresh_timer(self, setup, mode, pinned):
+        model, cluster, placement = setup
+        calls = _timer_calls()
+        timer = PlacementStepTimer(model, cluster, mode=mode)
+        memo = _run_calls(timer, calls, placement)
+        fresh = [
+            _run_calls(PlacementStepTimer(model, cluster, mode=mode), [call], placement)[0]
+            for call in calls
+        ]
+        assert memo == fresh
+        # the sequence's floats as priced before the memo existed
+        digest = hashlib.sha256(np.array(memo).tobytes()).hexdigest()[:16]
+        assert digest == pinned
+
+    def test_repeated_payload_skips_allgather(self, setup, monkeypatch):
+        import repro.engine.serving as serving
+
+        model, cluster, placement = setup
+        seen: list[bytes] = []
+        real = serving.allgather_cost
+
+        def counting(topo, payload):
+            seen.append(np.asarray(payload).tobytes())
+            return real(topo, payload)
+
+        monkeypatch.setattr(serving, "allgather_cost", counting)
+        timer = PlacementStepTimer(model, cluster, mode=ExecutionMode.EXFLOW)
+        _run_calls(timer, _timer_calls(), placement)
+        assert seen  # misses still go through the module-global collective
+        assert len(seen) == len(set(seen))
+        paths = np.zeros((2, 4), dtype=np.int64)
+        home = np.array([0, 3])
+        plen = np.array([8, 1000])
+        first = timer.step_time(paths, home, np.array([5, 9]), placement)
+        admit = timer.admission_time(home, plen)
+        calls = len(seen)
+        assert timer.step_time(paths, home, np.array([7, 2]), placement) != first
+        assert timer.admission_time(home, plen) == admit
+        assert len(seen) == calls
+
+    def test_admission_validates_at_boundary(self, setup):
+        model, cluster, _ = setup
+        coherent = PlacementStepTimer(model, cluster, mode=ExecutionMode.EXFLOW)
+        vanilla = PlacementStepTimer(model, cluster, mode=ExecutionMode.VANILLA)
+        for timer in (coherent, vanilla):
+            with pytest.raises(ValueError, match="home GPU rank out of range"):
+                timer.admission_time(np.array([0, cluster.num_gpus]), np.array([4, 4]))
+            with pytest.raises(ValueError, match="home GPU rank out of range"):
+                timer.admission_time(np.array([-1]), np.array([4]))
+            with pytest.raises(ValueError, match="prompt lengths"):
+                timer.admission_time(np.array([0, 1]), np.array([4, -1]))
+            with pytest.raises(ValueError, match="aligned"):
+                timer.admission_time(np.array([0, 1]), np.array([4]))
+        # nothing invalid reached the memo
+        assert coherent._allgather_memo == {}

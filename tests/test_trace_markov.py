@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,53 @@ class TestMarkovModel:
         tw = weak.sample(5000, rng).conditional_matrix(0).max(axis=1).mean()
         ts = strong.sample(5000, rng).conditional_matrix(0).max(axis=1).mean()
         assert ts > tw
+
+
+class TestSamplerPinned:
+    """The cached-CDF, one-draw sampler reproduces the per-layer-draw paths.
+
+    Digests, first rows and the generator's next double were recorded with
+    the sampler that drew one ``N``-vector per layer and cumsum'd gathered
+    rows; the stream must match draw for draw.
+    """
+
+    @staticmethod
+    def _model(prior: bool) -> MarkovRoutingModel:
+        m = MarkovRoutingModel.with_affinity(8, 5, 0.7, rng=np.random.default_rng(11))
+        if prior:
+            p = np.random.default_rng(12).random(8)
+            m = MarkovRoutingModel(m.transitions, p / p.sum())
+        return m
+
+    NEXT = {0: 0.8349816305020089, 1: 0.9227256864229143,
+            7: 0.5942656805385423, 500: 0.05565698400795982}
+
+    @pytest.mark.parametrize(
+        ("prior", "n", "digest", "head"),
+        [
+            (False, 0, "e3b0c44298fc1c14", []),
+            (False, 1, "af89e0567e26897a", [[7, 6, 2, 5, 1]]),
+            (False, 7, "9c8d1c6435149691", [[5, 7, 6, 6, 1], [3, 1, 7, 7, 2]]),
+            (False, 500, "99acf0065ced2690", [[1, 1, 2, 1, 0], [0, 3, 1, 3, 3]]),
+            (True, 0, "e3b0c44298fc1c14", []),
+            (True, 1, "6e192e0160ed87ca", [[6, 0, 7, 7, 0]]),
+            (True, 7, "df029e950febc709", [[4, 7, 6, 6, 1], [3, 1, 7, 7, 2]]),
+            (True, 500, "a6645bce23f2b18c", [[1, 1, 2, 1, 0], [0, 3, 1, 3, 3]]),
+        ],
+    )
+    def test_paths_and_generator_state(self, prior, n, digest, head):
+        model = self._model(prior)
+        rng = np.random.default_rng(100 + n)
+        paths = model.sample(n, rng).paths
+        got = hashlib.sha256(np.ascontiguousarray(paths, dtype=np.int64).tobytes())
+        assert got.hexdigest()[:16] == digest
+        assert paths[:2].tolist() == head
+        assert rng.random() == self.NEXT[n]
+
+    def test_repeat_calls_reuse_cache(self):
+        model = self._model(prior=True)
+        a = model.sample(50, np.random.default_rng(3)).paths
+        cdfs = model._cdfs
+        b = model.sample(50, np.random.default_rng(3)).paths
+        assert model._cdfs is cdfs
+        np.testing.assert_array_equal(a, b)
