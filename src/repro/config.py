@@ -308,6 +308,20 @@ class InferenceConfig:
         return self.prompt_len + self.generate_len
 
 
+def _reject_nonfinite(
+    cfg: ServingConfig | FleetConfig, inf_ok: tuple[str, ...] = ()
+) -> None:
+    """Reject NaN or ±inf in any float field of ``cfg`` (``+inf`` passes for
+    the fields named in ``inf_ok``).  Range checks like ``x <= 0`` are
+    false for NaN, so they cannot catch it themselves."""
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.type == "float" and (
+            math.isnan(v) or (math.isinf(v) and not (v > 0 and f.name in inf_ok))
+        ):
+            raise ValueError(f"{f.name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class ServingConfig:
     """A request-level serving scenario for the continuous-batching layer.
@@ -347,6 +361,7 @@ class ServingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _reject_nonfinite(self)
         if self.arrival not in ("poisson", "bursty"):
             raise ValueError(
                 f"arrival must be 'poisson' or 'bursty', got {self.arrival!r}"
@@ -488,6 +503,8 @@ class FleetConfig:
     chaos: ChaosSpec | None = None
 
     def __post_init__(self) -> None:
+        # +inf SLOs are "no deadline" (the online scenario's one-replica fleet)
+        _reject_nonfinite(self, inf_ok=("slo_ms", "batch_slo_ms"))
         if self.num_replicas <= 0:
             raise ValueError("num_replicas must be positive")
         if self.router not in ROUTER_KINDS:

@@ -34,14 +34,12 @@ model:
   operation for operation.
 
 ``tests/test_fleet_equivalence.py`` holds this engine to the oracle's
-exact :class:`~repro.fleet.result.FleetResult`; the three object-routing
-policies (round-robin, jsq, affinity) take the fully vectorized window
-path, while p2c keeps a tight per-arrival loop (its two uniform draws per
-decision are part of the simulated semantics and cannot batch).
-
-Custom :class:`~repro.fleet.router.Router` subclasses and
-:class:`~repro.fleet.admission.AdmissionController` subclasses have no
-array form, so the tick engine rejects them — use ``engine="event"``.
+exact :class:`~repro.fleet.result.FleetResult`.  Both engines build their
+router and admission policy from :class:`~repro.config.FleetConfig`; the
+round-robin, jsq and affinity policies take the fully vectorized window
+path, while p2c — and every retried or migrated request — goes through
+one scalar path per arrival (p2c's two uniform draws per decision are
+part of the simulated semantics and cannot batch).
 """
 
 from __future__ import annotations
@@ -77,18 +75,7 @@ from repro.fleet.result import (
     sample_paths_grouped,
     validate_fleet_inputs,
 )
-from repro.fleet.router import (
-    AffinityRouter,
-    JoinShortestQueueRouter,
-    PowerOfTwoRouter,
-    RoundRobinRouter,
-    Router,
-    affinity_select,
-    jsq_select,
-    make_router,
-    p2c_select,
-    rr_positions,
-)
+from repro.fleet.router import affinity_select, jsq_select, p2c_select, rr_positions
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
@@ -128,8 +115,6 @@ class _TickFleet:
         placements_by_regime: Sequence[Placement],
         fleet: FleetConfig,
         max_batch_requests: int,
-        router: Router,
-        admission: AdmissionController,
         timer: PlacementStepTimer,
         replace_policy: ReplacementPolicy | None,
         replace_halflife_tokens: float | None,
@@ -145,8 +130,7 @@ class _TickFleet:
         self.placements_by_regime = placements_by_regime
         self.fleet = fleet
         self.max_batch = max_batch_requests
-        self.router = router
-        self.admission = admission
+        self.admission = AdmissionController.from_config(fleet)
         self.timer = timer
         self.replace_policy = replace_policy
         self.replace_halflife = replace_halflife_tokens
@@ -156,26 +140,16 @@ class _TickFleet:
         self.top2 = model.gating.k == 2
         self.g = cluster.num_gpus
         self.L = model.num_moe_layers
-        self.num_lanes = len(admission.classes)
+        self.num_lanes = len(self.admission.classes)
 
-        if isinstance(router, RoundRobinRouter):
-            self.policy = "round-robin"
-        elif isinstance(router, JoinShortestQueueRouter):
-            self.policy = "jsq"
-        elif isinstance(router, PowerOfTwoRouter):
-            self.policy = "p2c"
-        else:
-            self.policy = "affinity"
-        if isinstance(router, AffinityRouter):
-            self.aff_regimes: tuple[MarkovRoutingModel, ...] = router.regimes
-            self.load_weight = router.load_weight
-            if len(self.aff_regimes) < len(regimes):
-                raise ValueError(
-                    "affinity router models fewer regimes than the fleet serves"
-                )
-        else:
-            self.aff_regimes = ()
-            self.load_weight = 0.0
+        self.policy = fleet.router
+        self.rr_next = 0  # round-robin cursor over the routable id list
+        # scored against each regime at t=0, the model its placement was fit
+        # to (the oracle's make_router builds the same list)
+        self.aff_regimes: tuple[MarkovRoutingModel, ...] = (
+            tuple(m.model_at(0.0) for m in regimes) if self.policy == "affinity" else ()
+        )
+        self.load_weight = fleet.affinity_load_weight
         # kept-mass rows per placement object (identity-keyed; storing the
         # placement keeps it alive so ids cannot be recycled)
         self._kept_cache: dict[int, tuple[Placement, np.ndarray]] = {}
@@ -189,7 +163,7 @@ class _TickFleet:
         self.reg = np.array([q.regime for q in reqs], dtype=np.int64)
         pri = np.array([q.priority for q in reqs], dtype=np.int64)
         self.lane = np.minimum(pri, self.num_lanes - 1)
-        self.slo = admission.slo_by_priority(pri)
+        self.slo = self.admission.slo_by_priority(pri)
 
         # -- replica columns ---------------------------------------------------
         cap = max(4, fleet.num_replicas)
@@ -416,12 +390,10 @@ class _TickFleet:
         return int(cands[affinity_select(scores, loads, cands)])
 
     def _choose_one(self, req_idx: int, cands: np.ndarray) -> int:
-        """Scalar routing decision (the migration path), candidate ids given."""
+        """Scalar routing decision among candidate ids (arrive / migrate)."""
         if self.policy == "round-robin":
-            rt = self.router
-            assert isinstance(rt, RoundRobinRouter)
-            chosen = int(cands[rt._next % cands.size])
-            rt._next += 1
+            chosen = int(cands[self.rr_next % cands.size])
+            self.rr_next += 1
             return chosen
         if self.policy == "jsq":
             return int(cands[jsq_select(self.load[cands])])
@@ -760,54 +732,10 @@ class _TickFleet:
             return  # drained clean inside the grace period; lost stays 0/0
         self._kill_replica(rid, t, "preempt", idx)
 
-    def _retry_arrival(self, i: int, t: float) -> None:
-        """Scalar re-admission of a retried request (oracle's on_arrival)."""
-        rids = self.routable_ids
-        q = self.reqs[i]
-        if rids.size == 0:
-            self.shed_i.append(i)
-            self.shed_time.append(t)
-            self.shed_reason.append("no-capacity")
-            self.shed_rid.append(None)
-            self.done += 1
-            if self.rec is not None:
-                self.rec.on_shed(t, q.req_id, None, "no-capacity")
-            return
-        rid = self._choose_one(i, rids)
-        ql = int(self.queue_len[rid])
-        reason: str | None
-        if ql >= self.admission.max_queue_per_replica:
-            reason = "queue-full"
-        else:
-            # same scalar expression order as _arrivals_p2c / the oracle's
-            # AdmissionController.assess, so floats agree bit for bit
-            e = float(self.est_step[rid])
-            gen = int(self.gen_len[i])
-            deadline = (
-                e == e
-                and ql * gen * e / self.max_batch + gen * e
-                > self.admission.shed_slack * float(self.slo[i])
-            )
-            reason = "deadline" if deadline else None
-        if reason is not None:
-            self.shed_i.append(i)
-            self.shed_time.append(t)
-            self.shed_reason.append(reason)
-            self.shed_rid.append(rid)
-            self.done += 1
-            if self.rec is not None:
-                self.rec.on_shed(t, q.req_id, rid, reason)
-            return
-        self._enqueue(i, rid)
-        if self.rec is not None:
-            self.rec.on_enqueue(t, rid, q.req_id)
-        if not self.stepping[rid]:
-            self._start_step(rid, t)
-
     def _on_retry(self, req_idx: int, t: float) -> None:
         self.att_n[req_idx] += 1
         self.att_start[req_idx] = t
-        self._retry_arrival(req_idx, t)
+        self._arrive(req_idx, t)
 
     def _on_chaos(self, t: float) -> None:
         _, _, code, data = heapq.heappop(self.pending)
@@ -916,9 +844,7 @@ class _TickFleet:
         profiler = self.profiler
         _pt = perf_counter() if profiler is not None else 0.0
         if self.policy == "round-robin":
-            rt = self.router
-            assert isinstance(rt, RoundRobinRouter)
-            chosen = rids[rr_positions(rt._next, k, rids.size)]
+            chosen = rids[rr_positions(self.rr_next, k, rids.size)]
         elif self.policy == "jsq":
             chosen = np.full(
                 k, int(rids[jsq_select(self.load[rids])]), dtype=np.int64
@@ -958,69 +884,64 @@ class _TickFleet:
                 self._start_step(rid, float(self.arr_t[cur + first]))
                 woke = True
         if self.policy == "round-robin":
-            rt = self.router
-            assert isinstance(rt, RoundRobinRouter)
-            rt._next += consumed
+            self.rr_next += consumed
         return cur + consumed, woke
+
+    def _shed(self, i: int, t: float, rid: int | None, reason: str) -> None:
+        self.shed_i.append(i)
+        self.shed_time.append(t)
+        self.shed_reason.append(reason)
+        self.shed_rid.append(rid)
+        self.done += 1
+        if self.rec is not None:
+            self.rec.on_shed(t, self.reqs[i].req_id, rid, reason)
+
+    def _arrive(self, i: int, t: float) -> bool:
+        """Route, then admit or shed, one request (the oracle's on_arrival).
+
+        Returns whether the admit woke an idle replica.
+        """
+        rids = self.routable_ids
+        if rids.size == 0:
+            self._shed(i, t, None, "no-capacity")
+            return False
+        profiler = self.profiler
+        _pt = perf_counter() if profiler is not None else 0.0
+        rid = self._choose_one(i, rids)
+        if profiler is not None:
+            profiler.add("routing", perf_counter() - _pt)
+            _pt = perf_counter()
+        ql = int(self.queue_len[rid])
+        reason: str | None = None
+        if ql >= self.admission.max_queue_per_replica:
+            reason = "queue-full"
+        else:
+            # AdmissionController.assess's scalar expression order, so the
+            # floats agree with the oracle bit for bit
+            e = float(self.est_step[rid])
+            gen = int(self.gen_len[i])
+            if e == e and ql * gen * e / self.max_batch + gen * e > (
+                self.admission.shed_slack * float(self.slo[i])
+            ):
+                reason = "deadline"
+        if profiler is not None:
+            profiler.add("admission", perf_counter() - _pt)
+        if reason is not None:
+            self._shed(i, t, rid, reason)
+            return False
+        self._enqueue(i, rid)
+        if self.rec is not None:
+            self.rec.on_enqueue(t, rid, self.reqs[i].req_id)
+        if self.stepping[rid]:
+            return False
+        self._start_step(rid, t)
+        return True
 
     def _arrivals_p2c(self, cur: int, hi: int) -> tuple[int, bool]:
         """Per-arrival p2c loop: each decision consumes its own rng draws."""
-        rng = self.rng
-        rids = self.routable_ids
-        ncand = rids.size
-        load = self.load
-        qlen = self.queue_len
-        est = self.est_step
-        mb = self.max_batch
-        slack = self.admission.shed_slack
-        qcap = self.admission.max_queue_per_replica
-        rec = self.rec
-        profiler = self.profiler
-        i = cur
-        while i < hi:
-            _pt = perf_counter() if profiler is not None else 0.0
-            if ncand == 1:
-                rid = int(rids[0])
-            else:
-                a_, b_ = rng.choice(ncand, size=2, replace=False)
-                ra, rb = int(rids[int(a_)]), int(rids[int(b_)])
-                rid = rb if (load[rb], rb) < (load[ra], ra) else ra
-            if profiler is not None:
-                profiler.add("routing", perf_counter() - _pt)
-                _pt = perf_counter()
-            ql = int(qlen[rid])
-            if ql >= qcap:
-                if profiler is not None:
-                    profiler.add("admission", perf_counter() - _pt)
-                self.shed_i.append(i)
-                self.shed_time.append(float(self.arr_t[i]))
-                self.shed_reason.append("queue-full")
-                self.shed_rid.append(rid)
-                self.done += 1
-                if rec is not None:
-                    rec.on_shed(float(self.arr_t[i]), self.reqs[i].req_id, rid, "queue-full")
-            else:
-                e = float(est[rid])
-                gen = int(self.gen_len[i])
-                deadline = e == e and ql * gen * e / mb + gen * e > slack * float(self.slo[i])
-                if profiler is not None:
-                    profiler.add("admission", perf_counter() - _pt)
-                if deadline:
-                    self.shed_i.append(i)
-                    self.shed_time.append(float(self.arr_t[i]))
-                    self.shed_reason.append("deadline")
-                    self.shed_rid.append(rid)
-                    self.done += 1
-                    if rec is not None:
-                        rec.on_shed(float(self.arr_t[i]), self.reqs[i].req_id, rid, "deadline")
-                else:
-                    self._enqueue(i, rid)
-                    if rec is not None:
-                        rec.on_enqueue(float(self.arr_t[i]), rid, self.reqs[i].req_id)
-                    if not self.stepping[rid]:
-                        self._start_step(rid, float(self.arr_t[i]))
-                        return i + 1, True
-            i += 1
+        for i in range(cur, hi):
+            if self._arrive(i, float(self.arr_t[i])):
+                return i + 1, True
         return hi, False
 
     def _arrivals_until(self, bound_t: float) -> None:
@@ -1217,8 +1138,6 @@ def simulate_fleet_tick(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    router: Router | None = None,
-    admission: AdmissionController | None = None,
     timer: PlacementStepTimer | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
@@ -1231,10 +1150,6 @@ def simulate_fleet_tick(
     """Tick-engine counterpart of
     :func:`~repro.fleet.reference.simulate_fleet_reference` — same
     signature, bit-identical :class:`~repro.fleet.result.FleetResult`.
-
-    Restrictions (both raise ``ValueError``): ``router`` and
-    ``admission`` must be the built-in classes — subclasses carry scalar
-    logic the array engine cannot honour; use ``engine="event"`` there.
     """
     reqs = sorted(requests, key=lambda q: (q.arrival_s, q.req_id))
     validate_fleet_inputs(
@@ -1242,22 +1157,6 @@ def simulate_fleet_tick(
     )
 
     rng = rng or np.random.default_rng(0)
-    router = router or make_router(
-        fleet.router, regimes=regimes, load_weight=fleet.affinity_load_weight
-    )
-    if type(router) not in (
-        RoundRobinRouter, JoinShortestQueueRouter, PowerOfTwoRouter, AffinityRouter,
-    ):
-        raise ValueError(
-            "the tick engine vectorizes the built-in router policies only; "
-            'run custom routers with engine="event"'
-        )
-    admission = admission or AdmissionController.from_config(fleet)
-    if type(admission) is not AdmissionController:
-        raise ValueError(
-            "the tick engine vectorizes AdmissionController only; "
-            'run custom admission controllers with engine="event"'
-        )
     timer = timer or PlacementStepTimer(model, cluster, mode=mode, dtype_bytes=dtype_bytes)
 
     empty_stats = LatencyStats.from_samples([])
@@ -1272,8 +1171,6 @@ def simulate_fleet_tick(
         placements_by_regime,
         fleet,
         max_batch_requests,
-        router,
-        admission,
         timer,
         replace_policy,
         replace_halflife_tokens,

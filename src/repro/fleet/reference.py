@@ -71,7 +71,7 @@ from repro.fleet.result import (
     sample_paths_grouped,
     validate_fleet_inputs,
 )
-from repro.fleet.router import Router, make_router
+from repro.fleet.router import make_router
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder, run_meta
 
@@ -87,8 +87,6 @@ def simulate_fleet_reference(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    router: Router | None = None,
-    admission: AdmissionController | None = None,
     timer: PlacementStepTimer | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
@@ -125,10 +123,10 @@ def simulate_fleet_reference(
 
     rng = rng or np.random.default_rng(0)
     replace_rng = replace_rng or np.random.default_rng(0)
-    router = router or make_router(
+    router = make_router(
         fleet.router, regimes=regimes, load_weight=fleet.affinity_load_weight
     )
-    admission = admission or AdmissionController.from_config(fleet)
+    admission = AdmissionController.from_config(fleet)
     timer = timer or PlacementStepTimer(model, cluster, mode=mode, dtype_bytes=dtype_bytes)
     top2 = model.gating.k == 2
     g = cluster.num_gpus

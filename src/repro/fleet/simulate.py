@@ -43,12 +43,10 @@ from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.costs import CostModel
 from repro.engine.serving import PlacementStepTimer, Request, make_arrivals
 from repro.engine.workload import DriftScenario
-from repro.fleet.admission import AdmissionController
 from repro.fleet.engine import simulate_fleet_tick
 from repro.fleet.reference import simulate_fleet_reference
 from repro.fleet.requests import FleetRequest, make_fleet_requests
 from repro.fleet.result import FleetResult
-from repro.fleet.router import Router
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder
 from repro.trace.markov import MarkovRoutingModel
@@ -65,8 +63,6 @@ def _simulate_fleet_serving(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    router: Router | None = None,
-    admission: AdmissionController | None = None,
     timer: PlacementStepTimer | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
@@ -92,7 +88,10 @@ def _simulate_fleet_serving(
 
     ``fleet.engine`` selects the execution strategy — ``"event"`` for the
     heap oracle, ``"tick"`` for the vectorized engine; both return the
-    same :class:`~repro.fleet.result.FleetResult`, bit for bit.
+    same :class:`~repro.fleet.result.FleetResult`, bit for bit.  Both
+    build the routing and admission policy from ``fleet`` itself
+    (``router``, ``affinity_load_weight``, the SLOs, ``shed_slack``,
+    ``max_queue_per_replica``).
     """
     run = simulate_fleet_tick if fleet.engine == "tick" else simulate_fleet_reference
     return run(
@@ -104,8 +103,6 @@ def _simulate_fleet_serving(
         fleet,
         mode=mode,
         max_batch_requests=max_batch_requests,
-        router=router,
-        admission=admission,
         timer=timer,
         replace_policy=replace_policy,
         replace_halflife_tokens=replace_halflife_tokens,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 
 import pytest
 
@@ -9,10 +10,12 @@ from repro.config import (
     PAPER_MODELS,
     ClusterConfig,
     ExecutionMode,
+    FleetConfig,
     GatingKind,
     InferenceConfig,
     LinkSpec,
     ModelConfig,
+    ServingConfig,
     geometric_mean,
     paper_model,
     scaled_proxy,
@@ -223,3 +226,48 @@ class TestGeometricMean:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
+
+
+# every float field of the two traffic/deployment configs
+_FLOAT_FIELDS = [
+    (ServingConfig, name)
+    for name in ("arrival_rate_rps", "burst_factor", "burst_fraction", "burst_persistence")
+] + [
+    (FleetConfig, name)
+    for name in (
+        "slo_ms",
+        "batch_slo_ms",
+        "interactive_fraction",
+        "shed_slack",
+        "scale_up_queue_per_replica",
+        "scale_down_queue_per_replica",
+        "autoscale_check_every_s",
+        "boot_overhead_s",
+        "affinity_load_weight",
+    )
+]
+# +inf SLOs mean "no deadline" and stay legal
+_INF_OK = {"slo_ms", "batch_slo_ms"}
+
+
+class TestNonFiniteFloats:
+    """NaN passes range checks like ``x <= 0``; the configs reject it (and
+    ±inf) by name instead of failing deep inside an engine."""
+
+    @pytest.mark.parametrize(
+        ("cls", "field", "value"),
+        [
+            pytest.param(cls, field, value, id=f"{cls.__name__}-{field}-{value}")
+            for cls, field in _FLOAT_FIELDS
+            for value in (math.nan, math.inf, -math.inf)
+            if not (field in _INF_OK and value == math.inf)
+        ],
+    )
+    def test_rejected_by_name(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cls(**{field: value})
+
+    def test_infinite_slos_accepted(self):
+        fleet = FleetConfig(slo_ms=math.inf, batch_slo_ms=math.inf)
+        assert fleet.slo_s == fleet.batch_slo_s == math.inf
+        assert FleetConfig(batch_slo_ms=math.inf).batch_slo_s == math.inf

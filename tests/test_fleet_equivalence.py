@@ -35,6 +35,7 @@ from repro.chaos import (
 )
 from repro.fleet.requests import flash_crowd_arrivals
 from repro.fleet.simulate import _simulate_fleet_cluster_serving
+from repro.obs.recorder import MetricsRecorder
 
 MODEL = ModelConfig(
     name="fleet-eq-test", num_layers=4, num_experts=8, d_model=64, num_heads=4
@@ -445,30 +446,60 @@ def test_crash_all_replicas_retry_exhaustion():
     assert_identical(event, tick)
 
 
-@pytest.mark.parametrize("migrate", (False, True))
-def test_preemption_equivalence(migrate):
+class _RequeueCounter(MetricsRecorder):
+    """Counts the queued requests drains hand back to the router."""
+
+    def __init__(self) -> None:
+        self.requeued = 0
+
+    def on_requeue(self, t_s: float, rid: int, count: int) -> None:
+        self.requeued += count
+
+
+@pytest.mark.parametrize(
+    ("migrate", "router"),
+    [(False, "p2c"), *((True, r) for r in ROUTERS)],
+    ids=["False", *(f"True-{r}" for r in ROUTERS)],
+)
+def test_preemption_equivalence(migrate, router):
     # one preemption with a grace period too short to drain the batch
-    # (kill-lost path) and one generous enough to drain clean
+    # (kill-lost path) and one generous enough to drain clean.  The load
+    # keeps queues non-empty at both preemptions, so with migration on
+    # every router re-places a drained queue through the engines' scalar
+    # routing path
+    loaded = dataclasses.replace(SERVING, arrival_rate_rps=100_000.0)
     chaos = ChaosSpec(
         preemptions=(
-            PreemptSpec(0.02, 0, grace_s=0.00005),
-            PreemptSpec(0.06, 1, grace_s=0.01),
+            PreemptSpec(0.0006, 0, grace_s=0.00005),
+            PreemptSpec(0.0013, 1, grace_s=0.01),
         ),
         retry=CHAOS_RETRY,
     )
     fleet = FleetConfig(
         num_replicas=3,
-        router="p2c",
+        router=router,
         num_regimes=2,
+        slo_ms=10_000.0,
+        batch_slo_ms=20_000.0,
         migrate_on_drain=migrate,
         chaos=chaos,
     )
-    event, tick = run_both(fleet)
+    counters = {"event": _RequeueCounter(), "tick": _RequeueCounter()}
+    event, tick = (
+        _simulate_fleet_cluster_serving(
+            MODEL, CLUSTER, loaded, dataclasses.replace(fleet, engine=engine),
+            recorder=counter,
+        )
+        for engine, counter in counters.items()
+    )
     assert len(event.failures) == 2
     assert all(f.kind == "preempt" for f in event.failures)
     assert any(f.lost_active + f.lost_queued > 0 for f in event.failures)
-    assert_conserved(event, SERVING.num_requests)
+    assert_conserved(event, loaded.num_requests)
     assert_identical(event, tick)
+    requeued = counters["event"].requeued
+    assert counters["tick"].requeued == requeued
+    assert (requeued > 0) == migrate
 
 
 def test_brownout_equivalence():
@@ -693,36 +724,3 @@ class TestSloMonitoringEquivalence:
                 and getattr(mon, f.name) != getattr(bare, f.name)
             ]
             assert drift == []
-
-
-def test_tick_rejects_custom_components():
-    from repro.core.placement.vanilla import vanilla_placement
-    from repro.fleet.admission import AdmissionController
-    from repro.fleet.engine import simulate_fleet_tick
-    from repro.fleet.router import Router
-    from repro.trace.markov import MarkovRoutingModel
-
-    regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
-    flat = vanilla_placement(4, 8, 4)
-    fleet = FleetConfig(num_regimes=1, engine="tick")
-
-    class MyRouter(Router):
-        pass
-
-    class MyAdmission(AdmissionController):
-        pass
-
-    with pytest.raises(ValueError, match="custom routers"):
-        simulate_fleet_tick(
-            [], MODEL, CLUSTER, regimes, [flat], fleet, router=MyRouter()
-        )
-    with pytest.raises(ValueError, match="custom admission"):
-        simulate_fleet_tick(
-            [],
-            MODEL,
-            CLUSTER,
-            regimes,
-            [flat],
-            fleet,
-            admission=MyAdmission.from_config(fleet),
-        )

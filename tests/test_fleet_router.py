@@ -19,7 +19,11 @@ from repro.fleet.router import (
     JoinShortestQueueRouter,
     PowerOfTwoRouter,
     RoundRobinRouter,
+    affinity_select,
+    jsq_select,
     make_router,
+    p2c_select,
+    rr_positions,
 )
 from repro.trace.markov import MarkovRoutingModel
 
@@ -202,10 +206,11 @@ def _affinity_fixtures():
     return regimes, fitted
 
 
-class TestChooseBatchMatchesScalar:
-    """Property: ``choose_batch`` == per-request ``choose`` on a frozen
-    snapshot, for every router kind — the contract the tick engine's
-    vectorized routing kernels are built on."""
+class TestKernelsMatchScalar:
+    """Property: on a frozen snapshot, the array kernels the tick engine
+    routes with pick the same replica, request by request, as scalar
+    ``choose`` on ``Replica`` objects (the oracle's path), for every
+    router kind."""
 
     @given(
         kind=st.sampled_from(["round-robin", "jsq", "p2c", "affinity"]),
@@ -214,45 +219,50 @@ class TestChooseBatchMatchesScalar:
         seed=st.integers(0, 10_000),
     )
     @settings(max_examples=80, deadline=None)
-    def test_batch_equals_scalar(self, kind, num_replicas, num_requests, seed):
+    def test_kernel_equals_scalar(self, kind, num_replicas, num_requests, seed):
         regimes, fitted = _affinity_fixtures()
         rng = np.random.default_rng(seed)
-
-        def build_fleet():
-            reps = []
-            for rid in range(num_replicas):
-                r = _replica(rid, rid % 2, fitted[rid % 2])
-                for i in range(int(rng.integers(0, 6))):
-                    r.enqueue(_req(100 * rid + i))
-                if rng.integers(0, 2):
-                    r.admit_up_to_capacity(0.0)  # split load across queue/batch
-                reps.append(r)
-            return reps
-
-        reps = build_fleet()
+        reps = []
+        for rid in range(num_replicas):
+            r = _replica(rid, rid % 2, fitted[rid % 2])
+            for i in range(int(rng.integers(0, 6))):
+                r.enqueue(_req(100 * rid + i))
+            if rng.integers(0, 2):
+                r.admit_up_to_capacity(0.0)  # split load across queue/batch
+            reps.append(r)
         requests = [
             _req(i, regime=int(rng.integers(0, len(regimes))))
             for i in range(num_requests)
         ]
+        # the tick engine's snapshot: id-ordered arrays, no Replica objects
+        ids = np.array([r.replica_id for r in reps], dtype=np.int64)
+        loads = np.array([r.load for r in reps], dtype=np.int64)
+        caps = np.array([r.max_batch for r in reps], dtype=np.int64)
 
-        def build_router():
-            router = (
-                AffinityRouter(regimes) if kind == "affinity" else make_router(kind)
-            )
-            if isinstance(router, RoundRobinRouter):
-                router._next = int(rng.integers(0, 7))  # same mid-cycle start
-            return router
-
-        rng_state = rng.bit_generator.state
-        scalar_router = build_router()
-        rng.bit_generator.state = rng_state
-        batch_router = build_router()
-
+        router = AffinityRouter(regimes) if kind == "affinity" else make_router(kind)
+        start = int(rng.integers(0, 7))  # round-robin joins mid-cycle
+        if kind == "round-robin":
+            for _ in range(start):
+                router.choose(requests[0], reps, rng)
         scalar_rng = np.random.default_rng(seed + 1)
-        batch_rng = np.random.default_rng(seed + 1)
-        scalar = [scalar_router.choose(q, reps, scalar_rng) for q in requests]
-        batch = batch_router.choose_batch(requests, reps, batch_rng)
-        assert [r.replica_id for r in batch] == [r.replica_id for r in scalar]
+        scalar = [router.choose(q, reps, scalar_rng).replica_id for q in requests]
+
+        kernel_rng = np.random.default_rng(seed + 1)
+        if kind == "round-robin":
+            picks = rr_positions(start, num_requests, ids.size).tolist()
+        elif kind == "jsq":
+            picks = [jsq_select(loads)] * num_requests
+        elif kind == "p2c":
+            picks = [p2c_select(loads, ids, kernel_rng) for _ in requests]
+        else:
+            picks = []
+            for q in requests:
+                kept = np.array(
+                    [model_kept_mass(r.placement, regimes[q.regime]) for r in reps]
+                )
+                scores = kept - (router.load_weight * loads) / caps
+                picks.append(affinity_select(scores, loads, ids))
+        assert [int(ids[p]) for p in picks] == scalar
 
 
 class TestMakeRouter:
