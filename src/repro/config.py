@@ -21,9 +21,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.chaos.spec import ChaosSpec
+
+if TYPE_CHECKING:
+    from _typeshed import DataclassInstance
 
 __all__ = [
     "GatingKind",
@@ -309,11 +312,11 @@ class InferenceConfig:
 
 
 def _reject_nonfinite(
-    cfg: ServingConfig | FleetConfig, inf_ok: tuple[str, ...] = ()
+    cfg: DataclassInstance, inf_ok: tuple[str, ...] = ()
 ) -> None:
-    """Reject NaN or ±inf in any float field of ``cfg`` (``+inf`` passes for
-    the fields named in ``inf_ok``).  Range checks like ``x <= 0`` are
-    false for NaN, so they cannot catch it themselves."""
+    """Reject NaN or ±inf in any float field of the dataclass ``cfg``
+    (``+inf`` passes for the fields named in ``inf_ok``).  Range checks like
+    ``x <= 0`` are false for NaN, so they cannot catch it themselves."""
     for f in dataclasses.fields(cfg):
         v = getattr(cfg, f.name)
         if f.type == "float" and (

@@ -17,11 +17,20 @@ model:
   the engine keeps a cursor and processes every arrival before the next
   replica event (step end, boot, autoscale tick) as one window — routing
   decisions and admission shedding evaluate as array operations over the
-  whole window (:func:`~repro.fleet.router.jsq_select` and friends,
+  whole window (:func:`~repro.fleet.router.jsq_waterfill` and friends,
   :meth:`~repro.fleet.admission.AdmissionController.assess_codes`).
-  Within a window replica state is frozen: sheds mutate nothing, so they
-  batch; the first admission mutates load (and may wake an idle replica,
-  creating an event inside the window), so the window re-opens there.
+  Within a window only an admit changes state: one more queued request
+  on its replica.  A pass is a *shed run* then an *admit run*.  The shed
+  run evaluates every arrival on frozen state (a shed mutates nothing)
+  and sheds up to the first admit.  The admit run (jsq and round-robin)
+  speculates that every remaining arrival is admitted — jsq water-fills
+  lowest level first, lowest id first within a level; round-robin
+  advances its cursor — and evaluates admission on each target's queue
+  plus its earlier picks in the run.  It commits up to the first shed,
+  where the next pass starts, or up to and including the first admit
+  that *wakes* an idle replica: that replica's step event may land
+  inside the window, so the window bound is re-derived there.  Affinity
+  commits one admit per pass.
 * **Event-order mirroring.**  The oracle breaks time ties by heap push
   sequence.  The engine assigns the same sequence numbers to the same
   pushes (arrivals are seqs ``0..N-1``, every dynamic event takes the
@@ -36,10 +45,10 @@ model:
 ``tests/test_fleet_equivalence.py`` holds this engine to the oracle's
 exact :class:`~repro.fleet.result.FleetResult`.  Both engines build their
 router and admission policy from :class:`~repro.config.FleetConfig`; the
-round-robin, jsq and affinity policies take the fully vectorized window
-path, while p2c — and every retried or migrated request — goes through
-one scalar path per arrival (p2c's two uniform draws per decision are
-part of the simulated semantics and cannot batch).
+round-robin, jsq and affinity policies take the vectorized window path,
+while p2c — and every retried or migrated request — goes through one
+scalar path per arrival (p2c's two uniform draws per decision are part
+of the simulated semantics and cannot batch).
 """
 
 from __future__ import annotations
@@ -75,7 +84,13 @@ from repro.fleet.result import (
     sample_paths_grouped,
     validate_fleet_inputs,
 )
-from repro.fleet.router import affinity_select, jsq_select, p2c_select, rr_positions
+from repro.fleet.router import (
+    affinity_select,
+    jsq_select,
+    jsq_waterfill,
+    p2c_select,
+    rr_positions,
+)
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder, run_meta
 from repro.trace.markov import MarkovRoutingModel
@@ -817,34 +832,45 @@ class _TickFleet:
     # -- arrival windows -------------------------------------------------------
 
     def _record_sheds(
-        self, lo: int, hi: int, chosen: np.ndarray, codes: np.ndarray
+        self, lo: int, hi: int, rids: Sequence[int | None], reasons: Sequence[str]
     ) -> None:
+        """Shed arrivals ``lo..hi-1`` onto ``rids`` for ``reasons``, in order."""
+        times = self.arr_t[lo:hi].tolist()
         self.shed_i.extend(range(lo, hi))
-        self.shed_time.extend(self.arr_t[lo:hi].tolist())
-        self.shed_rid.extend(chosen.tolist())
-        self.shed_reason.extend(
-            SHED_REASONS[int(c)] or "" for c in codes.tolist()
-        )
+        self.shed_time.extend(times)
+        self.shed_rid.extend(rids)
+        self.shed_reason.extend(reasons)
         self.done += hi - lo
         if self.rec is not None:
-            for i, rid, c in zip(
-                range(lo, hi), chosen.tolist(), codes.tolist(), strict=True
+            for i, t, rid, reason in zip(
+                range(lo, hi), times, rids, reasons, strict=True
             ):
-                self.rec.on_shed(
-                    float(self.arr_t[i]),
-                    self.reqs[i].req_id,
-                    int(rid),
-                    SHED_REASONS[int(c)] or "",
-                )
+                self.rec.on_shed(t, self.reqs[i].req_id, rid, reason)
 
-    def _arrivals_chunk(self, cur: int, hi: int) -> tuple[int, bool]:
-        """One frozen-state pass for round-robin / jsq / affinity windows."""
+    def _decide(
+        self, cur: int, hi: int, speculative: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Targets and admission codes of arrivals ``cur..hi-1``.
+
+        Frozen (``speculative=False``): every arrival sees the current
+        state.  Exact up to and including the first admit, because a shed
+        changes nothing.  Speculative (jsq and round-robin only): every
+        arrival sees the state after all earlier ones were admitted, i.e.
+        one more queued request per earlier pick of the same replica.
+        Exact up to and including the first shed.
+        """
         k = hi - cur
         rids = self.routable_ids
+        prior: np.ndarray | int = 0
         profiler = self.profiler
         _pt = perf_counter() if profiler is not None else 0.0
         if self.policy == "round-robin":
             chosen = rids[rr_positions(self.rr_next, k, rids.size)]
+            if speculative:
+                prior = np.arange(k, dtype=np.int64) // rids.size
+        elif speculative:
+            pos, prior = jsq_waterfill(self.load[rids], k)
+            chosen = rids[pos]
         elif self.policy == "jsq":
             chosen = np.full(
                 k, int(rids[jsq_select(self.load[rids])]), dtype=np.int64
@@ -860,32 +886,77 @@ class _TickFleet:
         codes = self.admission.assess_codes(
             self.gen_len[cur:hi],
             self.slo[cur:hi],
-            self.queue_len[chosen],
+            self.queue_len[chosen] + prior,
             self.est_step[chosen],
             self.max_batch,
         )
         if profiler is not None:
             profiler.add("admission", perf_counter() - _pt)
+        return chosen, codes
+
+    def _shed_run(self, cur: int, hi: int) -> tuple[int, np.ndarray]:
+        """Shed arrivals from ``cur`` up to the next admit on frozen state.
+
+        Returns the admit's index (``hi`` if none) and its target replica
+        as a length-0 or length-1 array.
+        """
+        chosen, codes = self._decide(cur, hi, speculative=False)
         admits = codes == ADMIT
-        first = int(np.argmax(admits)) if admits.any() else k
+        first = int(np.argmax(admits)) if admits.any() else hi - cur
         if first > 0:
-            self._record_sheds(cur, cur + first, chosen[:first], codes[:first])
-        consumed = first
-        woke = False
-        if first < k:
-            rid = int(chosen[first])
-            self._enqueue(cur + first, rid)
-            if self.rec is not None:
-                self.rec.on_enqueue(
-                    float(self.arr_t[cur + first]), rid, self.reqs[cur + first].req_id
-                )
-            consumed += 1
-            if not self.stepping[rid]:
-                self._start_step(rid, float(self.arr_t[cur + first]))
-                woke = True
+            self._record_sheds(
+                cur,
+                cur + first,
+                chosen[:first].tolist(),
+                [SHED_REASONS[c] or "" for c in codes[:first].tolist()],
+            )
         if self.policy == "round-robin":
-            self.rr_next += consumed
-        return cur + consumed, woke
+            self.rr_next += first
+        return cur + first, chosen[first : first + 1]
+
+    def _commit_admits(self, lo: int, targets: np.ndarray) -> tuple[int, bool]:
+        """Enqueue arrivals ``lo..`` on ``targets`` in order.
+
+        Only the last target may be idle; if it is, its step starts at
+        that arrival (a wake).  Returns the next arrival and the wake flag.
+        """
+        hi = lo + targets.size
+        tg = targets.tolist()
+        for i, rid in zip(range(lo, hi), tg):
+            self._enqueue(i, rid)
+            if self.rec is not None:
+                self.rec.on_enqueue(float(self.arr_t[i]), rid, self.reqs[i].req_id)
+        if self.policy == "round-robin":
+            self.rr_next += targets.size
+        if self.stepping[tg[-1]]:
+            return hi, False
+        self._start_step(tg[-1], float(self.arr_t[hi - 1]))
+        return hi, True
+
+    def _arrivals_window(self, cur: int, hi: int, shedding: bool) -> tuple[int, bool]:
+        """One jsq / round-robin pass: a shed run, then an admit run.
+
+        Between two non-arrival events only an admit changes state, so the
+        admit run's targets and codes come from one speculative
+        :meth:`_decide`.  The run commits up to the first shed, or up to
+        and including the first admit that wakes an idle replica (its step
+        event may land inside the window).  ``shedding`` says arrival
+        ``cur`` is already known to be shed: the previous pass stopped
+        there.
+        """
+        if not shedding:
+            targets, codes = self._decide(cur, hi, speculative=True)
+            shedding = bool(codes[0] != ADMIT)
+        if shedding:
+            cur, admit = self._shed_run(cur, hi)
+            if not admit.size:
+                return hi, False
+            targets, codes = self._decide(cur, hi, speculative=True)
+        stop = (codes != ADMIT) | ~self.stepping[targets]
+        run = int(np.argmax(stop)) if stop.any() else hi - cur
+        if run < hi - cur and codes[run] == ADMIT:
+            run += 1  # the waking admit is committed too
+        return self._commit_admits(cur, targets[:run])
 
     def _shed(self, i: int, t: float, rid: int | None, reason: str) -> None:
         self.shed_i.append(i)
@@ -952,27 +1023,28 @@ class _TickFleet:
             else int(np.searchsorted(self.arr_t, bound_t, side="right"))
         )
         cur = self.cursor
+        shedding = False
         while cur < hi:
             if self.routable_ids.size == 0:
                 # transient hole (every replica booting/draining): shed the
                 # whole window honestly — nothing can change state before
                 # the bounding event, so this is exact
-                self.shed_i.extend(range(cur, hi))
-                self.shed_time.extend(self.arr_t[cur:hi].tolist())
-                self.shed_reason.extend(["no-capacity"] * (hi - cur))
-                self.shed_rid.extend([None] * (hi - cur))
-                self.done += hi - cur
-                if self.rec is not None:
-                    for i in range(cur, hi):
-                        self.rec.on_shed(
-                            float(self.arr_t[i]), self.reqs[i].req_id, None, "no-capacity"
-                        )
+                self._record_sheds(
+                    cur, hi, [None] * (hi - cur), ["no-capacity"] * (hi - cur)
+                )
                 cur = hi
                 break
             if self.policy == "p2c":
                 cur, woke = self._arrivals_p2c(cur, hi)
+            elif self.policy == "affinity":
+                cur, admit = self._shed_run(cur, hi)
+                woke = False
+                if admit.size:
+                    cur, woke = self._commit_admits(cur, admit)
             else:
-                cur, woke = self._arrivals_chunk(cur, hi)
+                # a pass that neither woke nor ran out stopped at a shed
+                cur, woke = self._arrivals_window(cur, hi, shedding)
+                shedding = True
             if woke:
                 # the admit woke an idle replica: its new step event may
                 # land inside this window, so re-derive the bound

@@ -20,6 +20,7 @@ scenarios:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -138,6 +139,13 @@ def flash_crowd_arrivals(
     ``flash_factor``.  Thinning against the peak rate keeps the process
     exact across the boundary (no gap straddles two rates).
     """
+    for name, v in (
+        ("flash_factor", flash_factor),
+        ("flash_start_s", flash_start_s),
+        ("flash_duration_s", flash_duration_s),
+    ):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if flash_factor < 1.0:
         raise ValueError("flash_factor must be >= 1")
     if flash_duration_s <= 0 or flash_start_s < 0:
@@ -157,6 +165,40 @@ def flash_crowd_arrivals(
     return requests
 
 
+def _regime_weights(
+    times: Sequence[float],
+    k: int,
+    regime_weight_at: Callable[[float], Sequence[float]],
+) -> np.ndarray:
+    """The ``(N, k)`` mixture matrix, validated as ``Generator.choice`` would.
+
+    ``choice`` rejects NaN, a negative entry, or a Kahan-summed row more
+    than ``sqrt(eps)`` from 1.  The sum check is mirrored column by column
+    so the same rows fail; it is tighter than the ``np.isclose`` test the
+    per-request loop ran first, so it subsumes it.
+    """
+    msg = f"regime_weight_at must return {k} probabilities summing to 1"
+    rows = [regime_weight_at(t) for t in times]
+    try:
+        w = np.array(rows, dtype=np.float64)
+    except ValueError as exc:  # ragged rows
+        raise ValueError(msg) from exc
+    if w.shape != (len(times), k):
+        raise ValueError(msg)
+    total = w[:, 0].copy()
+    comp = np.zeros_like(total)
+    for j in range(1, k):
+        y = w[:, j] - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    bad = (w < 0).any(axis=1) | ~(np.abs(total - 1.0) <= np.sqrt(np.finfo(np.float64).eps))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{msg}; got {w[i].tolist()} at t={times[i]}")
+    return w
+
+
 def make_fleet_requests(
     base: Sequence[Request],
     fleet: FleetConfig,
@@ -169,31 +211,46 @@ def make_fleet_requests(
     arrival time ``t`` (length ``fleet.num_regimes``); omitted, the mix is
     uniform and stationary.  Priorities are Bernoulli draws at
     ``fleet.interactive_fraction`` (class 0 = interactive, 1 = batch).
+
+    Per request the stream holds one regime draw (none when there is one
+    regime) then one priority draw.  A weighted regime draw is
+    ``Generator.choice(k, p=w)``: one double ``u``, and the regime is the
+    count of ``cumsum(w) / sum`` entries ``<= u``.  So the single-regime
+    and weighted mixes label columnwise from one ``rng.random`` block,
+    bit-identical to drawing request by request.  The uniform mix draws
+    ``rng.integers``, whose bit consumption is not a fixed number of
+    doubles, so it stays a per-request loop.
     """
     rng = rng or np.random.default_rng(0)
-    out: list[FleetRequest] = []
     k = fleet.num_regimes
-    for q in base:
-        if k == 1:
-            regime = 0
-        elif regime_weight_at is None:
-            regime = int(rng.integers(k))
-        else:
-            w = np.asarray(regime_weight_at(q.arrival_s), dtype=np.float64)
-            if w.shape != (k,) or w.min() < 0 or not np.isclose(w.sum(), 1.0):
-                raise ValueError(
-                    f"regime_weight_at must return {k} probabilities summing to 1"
-                )
-            regime = int(rng.choice(k, p=w))
-        priority = 0 if rng.random() < fleet.interactive_fraction else 1
-        out.append(
-            FleetRequest(
-                req_id=q.req_id,
-                arrival_s=q.arrival_s,
-                prompt_len=q.prompt_len,
-                generate_len=q.generate_len,
-                regime=regime,
-                priority=priority,
-            )
+    n = len(base)
+    if n == 0:
+        return []
+    if k == 1:
+        regimes = np.zeros(n, dtype=np.int64)
+        u_pri = rng.random(n)
+    elif regime_weight_at is None:
+        draws = [(int(rng.integers(k)), rng.random()) for _ in range(n)]
+        regimes = np.array([r for r, _ in draws], dtype=np.int64)
+        u_pri = np.array([u for _, u in draws], dtype=np.float64)
+    else:
+        w = _regime_weights([q.arrival_s for q in base], k, regime_weight_at)
+        u = rng.random(2 * n)
+        cdf = np.cumsum(w, axis=1)
+        cdf /= cdf[:, -1:]
+        regimes = (cdf <= u[0::2, None]).sum(axis=1)
+        u_pri = u[1::2]
+    priorities = np.where(u_pri < fleet.interactive_fraction, 0, 1)
+    return [
+        FleetRequest(
+            req_id=q.req_id,
+            arrival_s=q.arrival_s,
+            prompt_len=q.prompt_len,
+            generate_len=q.generate_len,
+            regime=regime,
+            priority=priority,
         )
-    return out
+        for q, regime, priority in zip(
+            base, regimes.tolist(), priorities.tolist(), strict=True
+        )
+    ]

@@ -46,6 +46,7 @@ __all__ = [
     "make_router",
     "ROUTER_KINDS",
     "jsq_select",
+    "jsq_waterfill",
     "p2c_select",
     "affinity_select",
     "rr_positions",
@@ -64,6 +65,31 @@ __all__ = [
 def jsq_select(loads: np.ndarray) -> int:
     """Join-shortest-queue over candidates sorted by id: first minimum."""
     return int(np.argmin(loads))
+
+
+def jsq_waterfill(loads: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` JSQ picks when every pick adds one to its load.
+
+    Returns ``(positions, prior)``: candidate positions in pick order, and
+    how many times each pick's candidate was picked before it.  Repeated
+    :func:`jsq_select` fills the lowest level first, lowest position first
+    within a level, so pick order is ``(level, position)`` and ``prior`` is
+    ``level - loads[position]``.  The fill stops at the first level ``x``
+    with ``sum(max(0, x - loads)) >= count``.
+    """
+    n = loads.shape[0]
+    ls = np.sort(loads)
+    below = np.cumsum(ls)
+    # picks made below each sorted load: sum(max(0, ls[j] - loads))
+    filled = np.arange(n, dtype=np.int64) * ls - (below - ls)
+    j = int(np.searchsorted(filled, count, side="left")) - 1
+    top = -((-(count + int(below[j]))) // (j + 1))  # ceil((count + S) / (j + 1))
+    reps = np.maximum(0, top - loads)
+    pos = np.repeat(np.arange(n, dtype=np.int64), reps)
+    starts = np.repeat(np.cumsum(reps) - reps, reps)
+    prior = np.arange(pos.size, dtype=np.int64) - starts
+    order = np.argsort((loads[pos] + prior) * n + pos)[:count]  # (level, position)
+    return pos[order], prior[order]
 
 
 def rr_positions(start: int, count: int, num_candidates: int) -> np.ndarray:

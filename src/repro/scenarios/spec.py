@@ -42,6 +42,7 @@ from repro.config import (
     InferenceConfig,
     ModelConfig,
     ServingConfig,
+    _reject_nonfinite,
 )
 from repro.core.online import ReplacementPolicy
 from repro.core.placement.registry import SOLVERS
@@ -137,6 +138,7 @@ class FlashCrowdSpec:
     duration_s: float = 0.03
 
     def __post_init__(self) -> None:
+        _reject_nonfinite(self)
         if self.factor < 1.0:
             raise ValueError("flash factor must be >= 1")
         if self.start_s < 0 or self.duration_s <= 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -90,8 +91,79 @@ class TestFlashCrowd:
         with pytest.raises(ValueError):
             flash_crowd_arrivals(serving, 2.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("arg", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, serving, arg, value):
+        args = [4.0, 0.02, 0.03]
+        args[arg] = value
+        name = ("flash_factor", "flash_start_s", "flash_duration_s")[arg]
+        with pytest.raises(ValueError, match=name):
+            flash_crowd_arrivals(serving, *args)
+
+
+def _labels_one_by_one(base, fleet, rng, regime_weight_at=None):
+    """The per-request labelling loop the columnar labeller replaced."""
+    k = fleet.num_regimes
+    out = []
+    for q in base:
+        if k == 1:
+            regime = 0
+        elif regime_weight_at is None:
+            regime = int(rng.integers(k))
+        else:
+            w = np.asarray(regime_weight_at(q.arrival_s), dtype=np.float64)
+            if w.shape != (k,) or w.min() < 0 or not np.isclose(w.sum(), 1.0):
+                raise ValueError("bad weights")
+            regime = int(rng.choice(k, p=w))
+        priority = 0 if rng.random() < fleet.interactive_fraction else 1
+        out.append((regime, priority))
+    return out
+
 
 class TestMakeFleetRequests:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("mix", ["single", "diurnal", "three", "uniform"])
+    def test_columnar_matches_per_request_draws(self, seed, mix):
+        from repro.engine.serving import make_arrivals
+        from repro.scenarios.runner import _diurnal_mix
+
+        serving = ServingConfig(num_requests=3000, arrival_rate_rps=1000.0, seed=seed)
+        base = make_arrivals(serving)
+        k, weights = {
+            "single": (1, None),
+            "diurnal": (2, _diurnal_mix(3.0)),
+            "three": (3, lambda t: (0.2 + 0.1 * (t > 1.0), 0.3, 0.5 - 0.1 * (t > 1.0))),
+            "uniform": (3, None),
+        }[mix]
+        fleet = FleetConfig(num_regimes=k, interactive_fraction=0.6)
+        got = make_fleet_requests(base, fleet, np.random.default_rng(seed), weights)
+        want = _labels_one_by_one(base, fleet, np.random.default_rng(seed), weights)
+        assert [(q.regime, q.priority) for q in got] == want
+        assert [q.req_id for q in got] == [q.req_id for q in base]
+
+    def test_empty_arrivals(self):
+        fleet = FleetConfig(num_regimes=2)
+        assert make_fleet_requests([], fleet, regime_weight_at=lambda t: (0.5, 0.5)) == []
+        assert make_fleet_requests([], FleetConfig(num_regimes=1)) == []
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (0.5, 0.25, 0.25),  # wrong length
+            (1.2, -0.2),  # negative entry
+            (math.nan, 1.0),
+            (0.5, 0.5 + 2e-8),  # passes np.isclose, fails Generator.choice
+        ],
+    )
+    def test_rejects_what_generator_choice_rejects(self, serving, weights):
+        from repro.engine.serving import make_arrivals
+
+        base = make_arrivals(serving)
+        fleet = FleetConfig(num_regimes=2)
+        for labeller in (make_fleet_requests, _labels_one_by_one):
+            with pytest.raises(ValueError):
+                labeller(base, fleet, np.random.default_rng(0), lambda t: weights)
+
     def test_labels_in_range_and_deterministic(self, serving):
         from repro.engine.serving import make_arrivals
 

@@ -3,6 +3,8 @@ and sweep runner."""
 
 from __future__ import annotations
 
+import math
+
 import dataclasses
 import json
 
@@ -199,6 +201,14 @@ class TestScenarioValidation:
             ReplacementSpec(halflife_tokens=0.0)
         with pytest.raises(ValueError):
             FlashCrowdSpec(factor=0.5)
+
+    @pytest.mark.parametrize("field", ["factor", "start_s", "duration_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_flash_rejects_non_finite(self, field, value):
+        # ``factor < 1`` and friends are false for NaN: an unchecked NaN
+        # factor never accepts a thinned arrival, and a NaN window is no flash
+        with pytest.raises(ValueError, match=field):
+            FlashCrowdSpec(**{field: value})
 
     def test_kind_dispatch_rules(self):
         assert _batch_scenario().kind == "batch"
