@@ -173,8 +173,9 @@ class StreamingAffinityEstimator:
             raise ValueError("num_experts must be >= 1")
         if num_layers < 2:
             raise ValueError("need at least 2 layers to track transitions")
-        if halflife_tokens <= 0:
-            raise ValueError("halflife_tokens must be positive")
+        # +inf is legal ("never forget"); ``not h > 0`` also catches NaN
+        if not halflife_tokens > 0:
+            raise ValueError(f"halflife_tokens must be positive, got {halflife_tokens}")
         self.num_experts = int(num_experts)
         self.num_layers = int(num_layers)
         self.halflife_tokens = float(halflife_tokens)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import ClusterConfig, ModelConfig
+from repro.config import ClusterConfig, ModelConfig, _reject_nonfinite
 from repro.core.affinity import StreamingAffinityEstimator
 from repro.core.placement.base import Placement
 from repro.core.placement.local_search import local_search_placement
@@ -204,6 +204,7 @@ class ReplacementPolicy:
     solver_passes: int = 4
 
     def __post_init__(self) -> None:
+        _reject_nonfinite(self)
         if self.check_every_steps < 1:
             raise ValueError("check_every_steps must be >= 1")
         if not 0.0 < self.kept_mass_drop < 1.0:

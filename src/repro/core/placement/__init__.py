@@ -13,8 +13,9 @@ experts per layer.  Strategies:
 * :func:`staged_placement` — the paper's two-stage topology-aware variant:
   stage 1 minimises inter-node crossings, stage 2 minimises intra-node
   crossings given stage 1 (Section IV-C/D).
-* :func:`local_search_placement` — swap-based refinement used as an
-  ablation reference.
+* :func:`local_search_placement` — swap-based refinement; warm-started
+  from the live placement, it is the online re-solver of
+  :class:`~repro.core.online.OnlineReplacer`.
 """
 
 from repro.core.placement.base import Placement, placement_locality

@@ -702,6 +702,11 @@ class _KeptMassTracker(MetricsRecorder):
     after each migration stall under the new placement, and once more at
     the run's end if its last step was not sampled.  It also collects the
     migration events and the final placement.
+
+    A sample depends only on the placement and the routing object
+    ``drift.model_at`` returns, and consecutive samples mostly get the same
+    (cached) blend, so the last sample's kept mass is reused while both
+    stay the same.
     """
 
     def __init__(self, drift: DriftScenario, placement: Placement) -> None:
@@ -711,9 +716,16 @@ class _KeptMassTracker(MetricsRecorder):
         self.last_step_s = 0.0
         self.events: list[ReplacementEvent] = []
         self.kept_timeline: list[KeptSample] = []
+        # (routing, kept) of the last sample under final_placement
+        self._last_kept: tuple[MarkovRoutingModel, float] | None = None
 
     def _sample(self, t_s: float) -> None:
-        kept = model_kept_mass(self.final_placement, self.drift.model_at(t_s))
+        routing = self.drift.model_at(t_s)
+        if self._last_kept is not None and self._last_kept[0] is routing:
+            kept = self._last_kept[1]
+        else:
+            kept = model_kept_mass(self.final_placement, routing)
+            self._last_kept = (routing, kept)
         self.kept_timeline.append(KeptSample(self.steps, t_s, kept))
 
     def on_step_end(self, t_s: float, rid: int, step_s: float, batch: int) -> None:
@@ -726,6 +738,7 @@ class _KeptMassTracker(MetricsRecorder):
         self, t_s: float, rid: int, placement: Placement, event: ReplacementEvent
     ) -> None:
         self.final_placement = placement
+        self._last_kept = None
         self.events.append(event)
         self._sample(t_s + event.stall_s)
 

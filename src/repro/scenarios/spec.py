@@ -88,8 +88,11 @@ class ReplacementSpec:
     halflife_tokens: float | None = None
 
     def __post_init__(self) -> None:
-        if self.halflife_tokens is not None and self.halflife_tokens <= 0:
-            raise ValueError("halflife_tokens must be positive when set")
+        # +inf is legal ("never forget"); ``not h > 0`` also catches NaN
+        if self.halflife_tokens is not None and not self.halflife_tokens > 0:
+            raise ValueError(
+                f"halflife_tokens must be positive when set, got {self.halflife_tokens}"
+            )
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,8 @@ class CountTrace:
             )
         if counts.shape[0] < 1:
             raise ValueError("need at least one layer pair of counts")
+        if not np.isfinite(counts).all():
+            raise ValueError("transition counts must be finite")
         if counts.size and counts.min() < 0:
             raise ValueError("transition counts must be non-negative")
         object.__setattr__(self, "counts", counts)

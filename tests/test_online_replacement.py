@@ -28,6 +28,7 @@ from repro.config import (
 from repro.core.affinity import StreamingAffinityEstimator
 from repro.core.online import (
     OnlineReplacer,
+    ReplacementEvent,
     ReplacementPolicy,
     kept_mass_fraction,
     model_kept_mass,
@@ -38,6 +39,7 @@ from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.executor import simulate_inference
 from repro.engine.serving import (
     PlacementStepTimer,
+    _KeptMassTracker,
     poisson_arrivals,
     _simulate_online_cluster_serving,
     _simulate_online_serving,
@@ -96,6 +98,15 @@ class TestCountTrace:
         with pytest.raises(ValueError):
             CountTrace(-np.ones((1, 4, 4)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        # ``counts.min() < 0`` is false for NaN; the swap search used to die
+        # on such a trace with a bare AssertionError from its sanity check
+        counts = np.ones((2, 4, 4))
+        counts[1, 2, 3] = value
+        with pytest.raises(ValueError, match="finite"):
+            CountTrace(counts)
+
     def test_multi_hop_rejected(self):
         ct = CountTrace(np.ones((3, 4, 4)))
         with pytest.raises(ValueError):
@@ -126,6 +137,19 @@ class TestStreamingEstimator:
             est.update(np.zeros((5, 3), dtype=int))  # wrong layer count
         with pytest.raises(ValueError):
             est.update(np.full((5, 4), 8))  # expert id out of range
+
+    @pytest.mark.parametrize("halflife", [np.nan, -np.inf])
+    def test_rejects_non_finite_halflife(self, halflife):
+        # a NaN decay made every kept-mass check compare false
+        with pytest.raises(ValueError, match="halflife_tokens"):
+            StreamingAffinityEstimator(8, 4, halflife_tokens=halflife)
+
+    def test_infinite_halflife_never_forgets(self):
+        est = StreamingAffinityEstimator(4, 3, halflife_tokens=np.inf)
+        paths = np.zeros((5, 3), dtype=int)
+        est.update(paths)
+        est.update(paths)
+        assert est.effective_tokens == 10.0
 
     def test_empty_update_is_noop(self):
         est = StreamingAffinityEstimator(8, 4)
@@ -219,6 +243,26 @@ class TestKeptMass:
         assert model_kept_mass(p, regime_a) == pytest.approx(1.0)
 
 
+class TestKeptMassTracker:
+    def test_replacement_resamples_the_same_blend(self, regime_a):
+        """A re-placement between two samples at one routing object must
+        score the new placement, not reuse the old placement's kept mass."""
+        old = vanilla_placement(4, 8, 4)
+        trace = regime_a.sample(2000, np.random.default_rng(0))
+        new = solve_placement("ilp", trace, ClusterConfig(num_nodes=2, gpus_per_node=2))
+        kept_old, kept_new = model_kept_mass(old, regime_a), model_kept_mass(new, regime_a)
+        assert kept_old != kept_new
+        event = ReplacementEvent(4, 0.004, kept_old, kept_new, 6, 1024, 0.001, False)
+
+        tracker = _KeptMassTracker(regime_a, old)  # constant drift: one routing object
+        for step in range(8):
+            tracker.on_step_end(0.001 * (step + 1), 0, 0.001, 2)
+            if step == 3:
+                tracker.on_replace(0.004, 0, new, event)
+        assert [s.step for s in tracker.kept_timeline] == [4, 4, 8]
+        assert [s.true_kept for s in tracker.kept_timeline] == [kept_old, kept_new, kept_new]
+
+
 class TestMigration:
     @pytest.fixture
     def tiny_model(self):
@@ -285,6 +329,13 @@ class TestReplacementPolicy:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             ReplacementPolicy(**kwargs)
+
+    @pytest.mark.parametrize("field", ["min_effective_tokens", "kept_mass_drop"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN sample floor used to disable the floor silently
+        with pytest.raises(ValueError, match=field):
+            ReplacementPolicy(**{field: value})
 
     def test_defaults_valid(self):
         ReplacementPolicy()

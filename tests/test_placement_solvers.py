@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
-from repro.core.placement.base import placement_locality
+from repro.core.placement.base import Placement, placement_locality
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.ilp import (
     assignment_solve,
@@ -14,11 +16,11 @@ from repro.core.placement.ilp import (
     ilp_placement,
     joint_ilp_placement,
 )
-from repro.core.placement.local_search import local_search_placement
+from repro.core.placement.local_search import _mass_into, _mass_out, local_search_placement
 from repro.core.placement.registry import SOLVERS, solve_placement
 from repro.core.placement.staged import staged_placement
 from repro.core.placement.vanilla import vanilla_placement
-from repro.trace.events import RoutingTrace
+from repro.trace.events import CountTrace, RoutingTrace
 from repro.trace.markov import MarkovRoutingModel
 
 
@@ -198,6 +200,124 @@ class TestLocalSearch:
         bad = vanilla_placement(2, affinity_trace.num_experts, 4)
         with pytest.raises(ValueError):
             local_search_placement(affinity_trace, 4, start=bad)
+
+    @pytest.mark.parametrize("passes", [0, -1])
+    def test_no_passes_rejected(self, affinity_trace, passes):
+        # used to return the start placement unsearched
+        with pytest.raises(ValueError, match="max_passes"):
+            local_search_placement(affinity_trace, 4, max_passes=passes)
+
+    @pytest.mark.parametrize("start_gpus", [2, 8])
+    def test_gpu_count_mismatch_rejected(self, affinity_trace, start_gpus):
+        # used to fail late, as a formula-9 load-balance or rank-range error
+        start = vanilla_placement(
+            affinity_trace.num_layers, affinity_trace.num_experts, start_gpus
+        )
+        with pytest.raises(ValueError, match="num_gpus=4"):
+            local_search_placement(affinity_trace, 4, start=start)
+
+
+def _reference_swap_delta(gpu_of, weights, layer, a, b):
+    """The per-pair masked-sum delta the group-mass search replaced."""
+    ga, gb = gpu_of[layer, a], gpu_of[layer, b]
+    if ga == gb:
+        return 0.0
+    delta = 0.0
+    if layer > 0:
+        w = weights[layer - 1]
+        prev = gpu_of[layer - 1]
+        delta += w[prev == gb, a].sum() - w[prev == ga, a].sum()
+        delta += w[prev == ga, b].sum() - w[prev == gb, b].sum()
+    if layer < gpu_of.shape[0] - 1:
+        w = weights[layer]
+        nxt = gpu_of[layer + 1]
+        delta += w[a, nxt == gb].sum() - w[a, nxt == ga].sum()
+        delta += w[b, nxt == ga].sum() - w[b, nxt == gb].sum()
+    return float(delta)
+
+
+def _reference_local_search(trace, num_gpus, start, max_passes, rng):
+    """The swap search as it was before group-mass deltas: the oracle."""
+    e, L = trace.num_experts, trace.num_layers
+    weights = _weights(trace)
+    gpu_of = start.gpu_of.copy()
+    pairs = [(a, b) for a in range(e) for b in range(a + 1, e)]
+    for _ in range(max_passes):
+        improved = False
+        for layer in range(L):
+            for idx in rng.permutation(len(pairs)):
+                a, b = pairs[idx]
+                if gpu_of[layer, a] == gpu_of[layer, b]:
+                    continue
+                if _reference_swap_delta(gpu_of, weights, layer, a, b) > 1e-12:
+                    gpu_of[layer, a], gpu_of[layer, b] = gpu_of[layer, b], gpu_of[layer, a]
+                    improved = True
+        if not improved:
+            break
+    return Placement(gpu_of, num_gpus, strategy="local-search")
+
+
+def _search_counts(kind, shape, rng):
+    if kind == "integer":  # tie-heavy: many swaps have a zero delta
+        return rng.integers(0, 4, shape).astype(np.float64)
+    if kind == "decayed":  # fractional, like the streaming estimator's window
+        return rng.integers(0, 50, shape) * 0.99 ** rng.integers(0, 400, shape)
+    return np.where(rng.random(shape) < 0.1, rng.integers(1, 1000, shape), 0).astype(float)
+
+
+class TestLocalSearchMatchesReference:
+    """The group-mass search must take every decision the per-pair
+    masked-sum search took: same placement, same generator state after."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        num_layers=st.integers(2, 4),
+        # (GPUs, experts per GPU), at most 24 experts
+        shape=st.sampled_from([1, 2, 3, 4, 8]).flatmap(
+            lambda g: st.tuples(st.just(g), st.integers(1, 24 // g))
+        ),
+        kind=st.sampled_from(["integer", "decayed", "sparse"]),
+        seed=st.integers(0, 2**16),
+        max_passes=st.integers(1, 4),
+        warm=st.booleans(),
+    )
+    # >= 8 experts per GPU: numpy's pairwise summation path
+    @example(num_layers=2, shape=(2, 12), kind="decayed", seed=1, max_passes=4, warm=True)
+    @example(num_layers=3, shape=(2, 16), kind="sparse", seed=4, max_passes=3, warm=False)
+    @example(num_layers=3, shape=(1, 8), kind="integer", seed=2, max_passes=2, warm=True)
+    @example(num_layers=3, shape=(8, 1), kind="integer", seed=3, max_passes=4, warm=True)
+    def test_same_placement_and_rng_state(self, num_layers, shape, kind, seed, max_passes, warm):
+        num_gpus, per_gpu = shape
+        e = num_gpus * per_gpu
+        data_rng = np.random.default_rng(seed)
+        trace = CountTrace(_search_counts(kind, (num_layers - 1, e, e), data_rng))
+        if warm:
+            ranks = np.repeat(np.arange(num_gpus), per_gpu)
+            gpu_of = np.stack([data_rng.permutation(ranks) for _ in range(num_layers)])
+            start = Placement(gpu_of, num_gpus)
+        else:
+            start = vanilla_placement(num_layers, e, num_gpus)
+        rng_new, rng_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        new = local_search_placement(trace, num_gpus, start, max_passes, rng_new)
+        ref = _reference_local_search(trace, num_gpus, start, max_passes, rng_ref)
+        assert np.array_equal(new.gpu_of, ref.gpu_of)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("per_gpu", [1, 7, 8, 12, 33])
+    def test_group_mass_tables_equal_masked_sums(self, per_gpu):
+        """Every table entry is bit for bit the masked 1-D sum it replaces,
+        including numpy's pairwise summation from 8 experts per GPU."""
+        num_gpus = 3
+        e = num_gpus * per_gpu
+        rng = np.random.default_rng(per_gpu)
+        w = _search_counts("decayed", (e, e), rng)
+        ranks = rng.permutation(np.repeat(np.arange(num_gpus), per_gpu))
+        into = _mass_into(w, ranks, num_gpus)
+        out = _mass_out(w, ranks, num_gpus)
+        for x in range(e):
+            for g in range(num_gpus):
+                assert into[x][g] == w[ranks == g, x].sum()
+                assert out[x][g] == w[x, ranks == g].sum()
 
 
 class TestStaged:

@@ -202,6 +202,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             FlashCrowdSpec(factor=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_replacement_rejects_bad_halflife(self, value):
+        # a NaN halflife used to run the online arm silently static
+        with pytest.raises(ValueError, match="halflife_tokens"):
+            ReplacementSpec(halflife_tokens=value)
+
+    def test_replacement_infinite_halflife_is_legal(self):
+        assert ReplacementSpec(halflife_tokens=math.inf).halflife_tokens == math.inf
+
     @pytest.mark.parametrize("field", ["factor", "start_s", "duration_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_flash_rejects_non_finite(self, field, value):
