@@ -276,6 +276,12 @@ class ClusterConfig:
         return self.experts_per_gpu(num_experts) * self.gpus_per_node
 
 
+def check_dtype_bytes(dtype_bytes: object) -> None:
+    """Reject an activation precision other than 1, 2, 4 or 8 bytes."""
+    if dtype_bytes not in (1, 2, 4, 8):
+        raise ValueError(f"dtype_bytes must be 1, 2, 4 or 8, got {dtype_bytes!r}")
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
     """A batched autoregressive serving workload.
@@ -300,8 +306,7 @@ class InferenceConfig:
             raise ValueError("prompt_len must be positive")
         if self.generate_len <= 0:
             raise ValueError("generate_len must be positive")
-        if self.dtype_bytes not in (1, 2, 4, 8):
-            raise ValueError("dtype_bytes must be 1, 2, 4 or 8")
+        check_dtype_bytes(self.dtype_bytes)
 
     def total_requests(self, num_gpus: int) -> int:
         return self.requests_per_gpu * num_gpus

@@ -51,6 +51,7 @@ from repro.config import (
     InferenceConfig,
     ModelConfig,
     ServingConfig,
+    check_dtype_bytes,
 )
 from repro.core.online import ReplacementEvent, ReplacementPolicy, model_kept_mass
 from repro.core.placement.base import Placement
@@ -469,6 +470,17 @@ def _simulate_cluster_serving(
 # -- online drift-aware serving -----------------------------------------------
 
 
+#: entries each of a timer's price memos holds; a full memo is cleared
+_MEMO_CAP = 1 << 16
+
+
+def _remember(memo: dict[bytes, float], key: bytes, time_s: float) -> None:
+    """Store ``time_s`` under ``key``, clearing ``memo`` first when it is full."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo[key] = time_s
+
+
 class PlacementStepTimer:
     """Price one continuous-batching decode step from that step's routing.
 
@@ -478,13 +490,20 @@ class PlacementStepTimer:
     setting where both the routing *and* the placement change mid-run.
     This timer instead prices each step directly: given the step's (B, L)
     expert paths, each request's home GPU and context length, and the
-    *current* placement, it reproduces the batched engine's per-step
-    arithmetic (lockstep per-GPU maxima for compute, pairwise-exchange
-    Alltoall for dispatch, ring AllGather for context coherence) for a
-    single decode iteration.  On a one-iteration workload it matches
-    :func:`repro.engine.executor.simulate_inference` up to the one-time
-    prompt AllGather, which :meth:`admission_time` prices separately (the
-    fleet engines charge it when requests join the batch).
+    *current* placement, it does the batched engine's per-step arithmetic
+    (lockstep per-GPU maxima for compute, pairwise-exchange Alltoall for
+    dispatch, ring AllGather for context coherence) for a single decode
+    iteration.  On a one-iteration workload it matches
+    :func:`repro.engine.executor.simulate_inference` to 1e-12, not bit for
+    bit (the engine adds up its total in another order), up to the
+    one-time prompt AllGather, which :meth:`admission_time` prices
+    separately (the fleet engines charge it when requests join the batch).
+
+    A step counts all its token routes with one integer bincount, and
+    prices each layer's Alltoall from an exact memo keyed on that layer's
+    (G, G) token counts; AllGathers are memoised by payload.  Misses go
+    through the module-global collectives, and each memo is cleared when
+    it reaches ``_MEMO_CAP`` entries.
     """
 
     def __init__(
@@ -495,6 +514,7 @@ class PlacementStepTimer:
         dtype_bytes: int = 2,
         cost_model: CostModel | None = None,
     ) -> None:
+        check_dtype_bytes(dtype_bytes)
         self.model = model
         self.cluster = cluster
         self.mode = mode
@@ -504,6 +524,13 @@ class PlacementStepTimer:
         self.coherent = mode.uses_context_coherence
         # AllGather seconds by payload bytes: few distinct payloads recur
         self._allgather_memo: dict[bytes, float] = {}
+        # Alltoall seconds by one layer's int64 (G, G) token counts
+        self._alltoall_memo: dict[bytes, float] = {}
+        # per-layer key bases of step_time's bincount blocks
+        L, g = model.num_moe_layers, cluster.num_gpus
+        self._layers = np.arange(L, dtype=np.int64)[None, :]
+        self._row = self._layers * g
+        self._pair = 2 * L * g + self._row * g
 
     def _allgather_s(self, payload: np.ndarray) -> float:
         """Seconds of one context AllGather of ``payload``, memoised exactly.
@@ -515,8 +542,41 @@ class PlacementStepTimer:
         key = payload.tobytes()
         time_s = self._allgather_memo.get(key)
         if time_s is None:
-            time_s = self._allgather_memo[key] = allgather_cost(self.topo, payload).time_s
+            time_s = allgather_cost(self.topo, payload).time_s
+            _remember(self._allgather_memo, key, time_s)
         return time_s
+
+    def _alltoall_s(self, counts: np.ndarray) -> list[float]:
+        """Seconds of each layer's Alltoall, memoised exactly.
+
+        ``counts`` is (n, G*G) int64: row ``i`` holds one layer's tokens
+        from rank ``src`` to rank ``dst`` at ``src * G + dst``, with a zero
+        diagonal.  A slice of a stacked :func:`alltoall_matrix` call prices
+        bit-identically to a single call, so a layer's seconds are a pure
+        function of its row and keying on the row's bytes returns the very
+        float a fresh call would.  All misses go through one stacked call
+        to the module-global :func:`alltoall_matrix`.
+        """
+        memo = self._alltoall_memo
+        width = counts.shape[1] * counts.itemsize
+        buf = counts.tobytes()
+        keys = [buf[i : i + width] for i in range(0, len(buf), width)]
+        # one row per distinct missing key
+        miss = {key: i for i, key in enumerate(keys) if key not in memo}
+        if not miss:
+            return [memo[key] for key in keys]
+        g = self.cluster.num_gpus
+        traffic = counts[list(miss.values())].astype(np.float64) * self.token_bytes
+        priced = {
+            key: res.time_s
+            for key, res in zip(
+                miss, alltoall_matrix(self.topo, traffic.reshape(-1, g, g)), strict=True
+            )
+        }
+        times = [priced[key] if key in priced else memo[key] for key in keys]
+        for key, time_s in priced.items():
+            _remember(memo, key, time_s)
+        return times
 
     def _check_inputs(
         self, paths: np.ndarray, home_gpu: np.ndarray, context_lens: np.ndarray
@@ -564,15 +624,15 @@ class PlacementStepTimer:
 
         b, L = paths.shape
         g = self.cluster.num_gpus
+        lg = L * g
         cost = self.cost
-        layer_idx = np.arange(L, dtype=np.int64)
-        gpu_path = placement.gpu_of[layer_idx[None, :], paths]  # (B, L)
+        gpu_path = placement.gpu_of[self._layers, paths]  # (B, L)
         top2 = secondary_paths is not None and self.model.gating.k == 2
         if top2:
             sec = np.asarray(secondary_paths, dtype=np.int64)
             if sec.shape != paths.shape:
                 raise ValueError("secondary_paths must match paths shape")
-            sec_path = placement.gpu_of[layer_idx[None, :], sec]
+            sec_path = placement.gpu_of[self._layers, sec]
 
         if self.coherent:
             loc = np.empty((b, L), dtype=np.int64)
@@ -581,64 +641,48 @@ class PlacementStepTimer:
         else:
             loc = np.broadcast_to(home[:, None], (b, L))
 
-        keys = layer_idx[None, :] * g + loc  # (B, L) flattened (layer, gpu)
+        # one integer bincount counts every route, in blocks at offsets
+        # 0: resident tokens (layer, gpu), LG: FFN tokens (layer, gpu),
+        # 2LG: dispatch (layer, src, dst) and, vanilla only,
+        # 2LG + LG²: combine (layer, src, dst)
+        row, pair = self._row, self._pair
+        resident = row + loc
+        keys = [resident, lg + row + gpu_path, pair + loc * g + gpu_path]
+        if top2:
+            keys += [lg + row + sec_path, pair + loc * g + sec_path, pair + sec_path * g + gpu_path]
+        if not self.coherent:
+            keys.append(pair + lg * g + gpu_path * g + home[:, None])
+        blocks = 1 if self.coherent else 2
+        counts = np.bincount(np.concatenate(keys).ravel(), minlength=2 * lg + blocks * lg * g)
 
         # compute: lockstep per-GPU maxima per layer, attention priced per
-        # token at its own context length (weighted bincount); attention_flops
-        # is plain arithmetic, so one broadcast call covers the whole batch
+        # token at its own context length (weighted bincount, b-major like
+        # the keys); the integer maxima sums are exact
         att_flops = np.asarray(cost.attention_flops(ctx), dtype=np.float64)
         att_per = np.bincount(
-            keys.ravel(),
-            weights=np.broadcast_to(att_flops[:, None], (b, L)).ravel(),
-            minlength=L * g,
+            resident.ravel(), weights=np.repeat(att_flops, L), minlength=lg
         ).reshape(L, g)
         attention_s = float(
             att_per.max(axis=1).sum() / (cost.gpu_flops * cost.attention_efficiency)
         )
-
-        resident = np.bincount(keys.ravel(), minlength=L * g).reshape(L, g)
+        resident_max, ffn_max = counts[: 2 * lg].reshape(2, L, g).max(axis=2).sum(axis=1)
         gating_s = float(
-            resident.max(axis=1).sum()
-            * cost.gating_flops()
-            / (cost.gpu_flops * cost.gating_efficiency)
+            resident_max * cost.gating_flops() / (cost.gpu_flops * cost.gating_efficiency)
         )
-
-        ffn_counts = np.bincount(
-            (layer_idx[None, :] * g + gpu_path).ravel(), minlength=L * g
-        ).reshape(L, g)
-        if top2:
-            ffn_counts = ffn_counts + np.bincount(
-                (layer_idx[None, :] * g + sec_path).ravel(), minlength=L * g
-            ).reshape(L, g)
-        ffn_s = float(
-            ffn_counts.max(axis=1).sum()
-            * cost.ffn_flops()
-            / (cost.gpu_flops * cost.ffn_efficiency)
-        )
+        ffn_s = float(ffn_max * cost.ffn_flops() / (cost.gpu_flops * cost.ffn_efficiency))
 
         # communication: per-layer dispatch Alltoall (+ combine for vanilla),
-        # plus the coherent modes' one per-iteration context AllGather
-        def stacks(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-            base = layer_idx[None, :] * (g * g)
-            counts = np.bincount(
-                (base + src * g + dst).ravel(), minlength=L * g * g
-            ).reshape(L, g, g)
-            out = counts.astype(np.float64) * self.token_bytes
-            diag = np.arange(g)
-            out[:, diag, diag] = 0.0
-            return out
-
-        dispatch = stacks(loc, gpu_path)
-        if top2:
-            dispatch += stacks(loc, sec_path)
-            dispatch += stacks(sec_path, gpu_path)
-        comm_s = sum(res.time_s for res in alltoall_matrix(self.topo, dispatch))
+        # plus the coherent modes' one per-iteration context AllGather; the
+        # pairwise rounds never read the diagonal (tokens that stay local)
+        a2a = counts[2 * lg :].reshape(blocks * L, g * g)
+        a2a[:, :: g + 1] = 0
+        layer_s = self._alltoall_s(a2a)
+        comm_s = sum(layer_s[:L])
         if self.coherent:
             payload = np.bincount(home, minlength=g).astype(np.float64) * self.token_bytes
             comm_s += self._allgather_s(payload)
         else:
-            combine = stacks(gpu_path, np.broadcast_to(home[:, None], (b, L)))
-            comm_s += sum(res.time_s for res in alltoall_matrix(self.topo, combine))
+            comm_s += sum(layer_s[L:])
 
         return attention_s + gating_s + ffn_s + float(comm_s)
 

@@ -6,12 +6,21 @@ tests; the benchmarks use paper-scale configurations instead.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import ClusterConfig, InferenceConfig, ModelConfig
 from repro.trace.datasets import make_corpus
 from repro.trace.markov import MarkovRoutingModel
+
+# CI runs with HYPOTHESIS_PROFILE=ci: every run draws the same examples, so a
+# red run reproduces, and a failure prints the blob that replays it.  Local
+# runs keep the default profile's random exploration.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE") or "default")
 
 
 @pytest.fixture

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ExecutionMode, InferenceConfig, ServingConfig
+from repro.cluster.collectives import allgather_cost, alltoall_matrix
+from repro.config import (
+    ClusterConfig,
+    ExecutionMode,
+    GatingKind,
+    InferenceConfig,
+    ModelConfig,
+    ServingConfig,
+)
+from repro.core.placement.base import Placement
 from repro.engine.metrics import LatencyStats
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.serving import (
@@ -508,3 +517,173 @@ class TestPlacementStepTimerMemo:
                 timer.admission_time(np.array([0, 1]), np.array([4]))
         # nothing invalid reached the memo
         assert coherent._allgather_memo == {}
+
+
+def _dense_step_time(timer, paths, home, ctx, placement, secondary_paths=None) -> float:
+    """The step pricer as it was before the one-bincount layout and the
+    Alltoall memo: float (L, G, G) stacks and a fresh pricing of every
+    collective.  Kept as the reference the lean pricer must equal."""
+    paths = np.asarray(paths, dtype=np.int64)
+    home = np.asarray(home, dtype=np.int64)
+    ctx = np.asarray(ctx, dtype=np.int64)
+    b, L = paths.shape
+    g = timer.cluster.num_gpus
+    cost = timer.cost
+    layer_idx = np.arange(L, dtype=np.int64)
+    gpu_path = placement.gpu_of[layer_idx[None, :], paths]
+    top2 = secondary_paths is not None and timer.model.gating.k == 2
+    if top2:
+        sec_path = placement.gpu_of[layer_idx[None, :], np.asarray(secondary_paths)]
+    if timer.coherent:
+        loc = np.empty((b, L), dtype=np.int64)
+        loc[:, 0] = home
+        loc[:, 1:] = gpu_path[:, :-1]
+    else:
+        loc = np.broadcast_to(home[:, None], (b, L))
+    keys = layer_idx[None, :] * g + loc
+
+    att_flops = np.asarray(cost.attention_flops(ctx), dtype=np.float64)
+    att_per = np.bincount(
+        keys.ravel(),
+        weights=np.broadcast_to(att_flops[:, None], (b, L)).ravel(),
+        minlength=L * g,
+    ).reshape(L, g)
+    attention_s = float(
+        att_per.max(axis=1).sum() / (cost.gpu_flops * cost.attention_efficiency)
+    )
+    resident = np.bincount(keys.ravel(), minlength=L * g).reshape(L, g)
+    gating_s = float(
+        resident.max(axis=1).sum()
+        * cost.gating_flops()
+        / (cost.gpu_flops * cost.gating_efficiency)
+    )
+    ffn_counts = np.bincount(
+        (layer_idx[None, :] * g + gpu_path).ravel(), minlength=L * g
+    ).reshape(L, g)
+    if top2:
+        ffn_counts = ffn_counts + np.bincount(
+            (layer_idx[None, :] * g + sec_path).ravel(), minlength=L * g
+        ).reshape(L, g)
+    ffn_s = float(
+        ffn_counts.max(axis=1).sum() * cost.ffn_flops() / (cost.gpu_flops * cost.ffn_efficiency)
+    )
+
+    def stacks(src, dst):
+        base = layer_idx[None, :] * (g * g)
+        counts = np.bincount((base + src * g + dst).ravel(), minlength=L * g * g)
+        out = counts.reshape(L, g, g).astype(np.float64) * timer.token_bytes
+        diag = np.arange(g)
+        out[:, diag, diag] = 0.0
+        return out
+
+    dispatch = stacks(loc, gpu_path)
+    if top2:
+        dispatch += stacks(loc, sec_path)
+        dispatch += stacks(sec_path, gpu_path)
+    comm_s = sum(res.time_s for res in alltoall_matrix(timer.topo, dispatch))
+    if timer.coherent:
+        payload = np.bincount(home, minlength=g).astype(np.float64) * timer.token_bytes
+        comm_s += allgather_cost(timer.topo, payload).time_s
+    else:
+        combine = stacks(gpu_path, np.broadcast_to(home[:, None], (b, L)))
+        comm_s += sum(res.time_s for res in alltoall_matrix(timer.topo, combine))
+    return attention_s + gating_s + ffn_s + float(comm_s)
+
+
+_LEAN_CLUSTERS = {1: (1, 1), 2: (1, 2), 4: (2, 2), 8: (2, 4)}
+# one timer per (mode, top-2, G), reused across examples so its memos hit
+_REUSED_TIMERS: dict[tuple, PlacementStepTimer] = {}
+
+
+def _lean_setup(mode, top2, gpus):
+    model = ModelConfig(
+        name="lean", num_layers=4, num_experts=8, d_model=32, num_heads=4,
+        gating=GatingKind.TOP2 if top2 else GatingKind.TOP1,
+    )
+    nodes, per_node = _LEAN_CLUSTERS[gpus]
+    cluster = ClusterConfig(num_nodes=nodes, gpus_per_node=per_node)
+    key = (mode, top2, gpus)
+    if key not in _REUSED_TIMERS:
+        _REUSED_TIMERS[key] = PlacementStepTimer(model, cluster, mode=mode)
+    return model, cluster, _REUSED_TIMERS[key]
+
+
+def _random_step(rng, model, gpus, batch):
+    """A balanced random placement and one step's (paths, home, ctx, secondary)."""
+    L, E = model.num_moe_layers, model.num_experts
+    slots = np.repeat(np.arange(gpus), E // gpus)
+    placement = Placement(np.stack([rng.permutation(slots) for _ in range(L)]), gpus)
+    # a narrow expert range makes count patterns recur between examples
+    hi = int(rng.choice([2, E]))
+    paths = rng.integers(0, hi, size=(batch, L))
+    secondary = (paths + rng.integers(1, E, size=(batch, L))) % E
+    home = rng.integers(0, gpus, size=batch)
+    ctx = rng.integers(1, 300, size=batch)
+    return placement, paths, home, ctx, secondary
+
+
+class TestLeanStepPricer:
+    """The one-bincount, Alltoall-memoised pricer equals the dense-stack one."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        mode=st.sampled_from(
+            [ExecutionMode.EXFLOW, ExecutionMode.CONTEXT_COHERENT, ExecutionMode.VANILLA]
+        ),
+        top2=st.booleans(),
+        gpus=st.sampled_from(sorted(_LEAN_CLUSTERS)),
+        batch=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_dense_reference(self, mode, top2, gpus, batch, seed):
+        model, cluster, reused = _lean_setup(mode, top2, gpus)
+        rng = np.random.default_rng(seed)
+        placement, paths, home, ctx, secondary = _random_step(rng, model, gpus, batch)
+        sec = secondary if top2 else None
+        expected = _dense_step_time(reused, paths, home, ctx, placement, sec)
+        fresh = PlacementStepTimer(model, cluster, mode=mode)
+        assert fresh.step_time(paths, home, ctx, placement, sec) == expected
+        assert reused.step_time(paths, home, ctx, placement, sec) == expected
+        # the second call of the same step is all memo hits
+        assert reused.step_time(paths, home, ctx, placement, sec) == expected
+
+    def test_memo_bound(self, small_model, small_cluster, monkeypatch):
+        import repro.engine.serving as serving
+
+        cap = 5
+        monkeypatch.setattr(serving, "_MEMO_CAP", cap)
+        priced: set[bytes] = set()
+        real = serving.alltoall_matrix
+
+        def counting(topo, traffic):
+            priced.update(t.tobytes() for t in np.asarray(traffic))
+            return real(topo, traffic)
+
+        monkeypatch.setattr(serving, "alltoall_matrix", counting)
+        g = small_cluster.num_gpus
+        rng = np.random.default_rng(11)
+        for mode in (ExecutionMode.EXFLOW, ExecutionMode.VANILLA):
+            timer = PlacementStepTimer(small_model, small_cluster, mode=mode)
+            for _ in range(30):
+                placement, paths, home, ctx, _ = _random_step(
+                    rng, small_model, g, int(rng.integers(1, 9))
+                )
+                got = timer.step_time(paths, home, ctx, placement)
+                assert len(timer._alltoall_memo) <= cap
+                assert len(timer._allgather_memo) <= cap
+                fresh = PlacementStepTimer(small_model, small_cluster, mode=mode)
+                assert got == fresh.step_time(paths, home, ctx, placement)
+                assert got == _dense_step_time(timer, paths, home, ctx, placement)
+        assert len(priced) > 4 * cap
+
+
+class TestPlacementStepTimerDtype:
+    @pytest.mark.parametrize("dtype_bytes", [0, -2, 3, float("nan"), 16])
+    def test_rejects_bad_dtype_bytes(self, small_model, small_cluster, dtype_bytes):
+        with pytest.raises(ValueError, match="dtype_bytes must be 1, 2, 4 or 8"):
+            PlacementStepTimer(small_model, small_cluster, dtype_bytes=dtype_bytes)
+
+    @pytest.mark.parametrize("dtype_bytes", [1, 2, 4, 8])
+    def test_accepts_inference_config_precisions(self, small_model, small_cluster, dtype_bytes):
+        timer = PlacementStepTimer(small_model, small_cluster, dtype_bytes=dtype_bytes)
+        assert timer.token_bytes == small_model.d_model * dtype_bytes
