@@ -41,11 +41,11 @@ from repro.engine.reference import simulate_inference_reference
 from repro.engine.comparison import compare_modes, ComparisonRow
 from repro.engine.serving import (
     Request,
-    CompletedRequest,
     ServingResult,
     make_arrivals,
     poisson_arrivals,
     bursty_arrivals,
+    StepCurve,
     engine_step_time,
     PlacementStepTimer,
     KeptSample,
@@ -71,11 +71,11 @@ __all__ = [
     "compare_modes",
     "ComparisonRow",
     "Request",
-    "CompletedRequest",
     "ServingResult",
     "make_arrivals",
     "poisson_arrivals",
     "bursty_arrivals",
+    "StepCurve",
     "engine_step_time",
     "PlacementStepTimer",
     "KeptSample",

@@ -11,34 +11,34 @@ Three pieces compose:
   traffic) and :func:`bursty_arrivals` (a two-state Markov-modulated
   Poisson process: flash-crowd bursts at ``burst_factor`` times the base
   rate, with the calm state slowed so the long-run mean rate is preserved).
-* **Continuous batching** — :func:`_simulate_serving` runs the iteration-
-  level scheduler production MoE servers use: one global decode batch;
+* **Step pricers** — :func:`engine_step_time` probes the vectorized engine
+  (:func:`repro.engine.executor.simulate_inference`) at a handful of batch
+  sizes and returns a :class:`StepCurve` that interpolates them, so a
+  step is priced with the full placement-aware compute + collective cost
+  model rather than a made-up constant.  Drifting routing and live
+  re-placement need a per-step price instead: :class:`PlacementStepTimer`
+  prices each step from its sampled routing under the current placement.
+* **Continuous batching** — :func:`_simulate_serving` serves requests as a
+  one-replica fleet on the tick engine (:mod:`repro.fleet.engine`), the
+  iteration-level scheduler production MoE servers run: one decode batch;
   waiting requests join at step boundaries whenever a slot is free, and
-  finished requests leave immediately (no head-of-line blocking on the
-  longest request in a static batch).
-* **Step-time calibration** — :func:`engine_step_time` probes the
-  vectorized engine (:func:`repro.engine.executor.simulate_inference`) at
-  a handful of batch sizes and interpolates, so serving simulations price
-  each decode step with the full placement-aware compute + collective cost
-  model rather than a made-up constant.
+  finished requests leave immediately.
 
-:func:`_simulate_cluster_serving` wires all three together from a
-:class:`~repro.config.ServingConfig`.  Drifting routing and live
-re-placement need a per-step price instead (:class:`PlacementStepTimer`),
-and get it from the fleet engine: :func:`_simulate_online_serving` runs
-as a one-replica fleet on the tick engine and returns the online result
-(:class:`OnlineServingResult`, kept-mass timeline included), and
-:func:`_simulate_online_cluster_serving` wires it from a config.  The
-public way in to all of them is :func:`repro.run` with a ``serving`` or
-``online`` Scenario; the underscore functions are its implementations.
+:func:`_simulate_cluster_serving` wires a curve-priced run from a
+:class:`~repro.config.ServingConfig`.  :func:`_simulate_online_serving`
+runs the adapter with a :class:`PlacementStepTimer` and returns the
+online result (:class:`OnlineServingResult`, kept-mass timeline
+included), and :func:`_simulate_online_cluster_serving` wires it from a
+config.  The public way in to all of them is :func:`repro.run` with a
+``serving`` or ``online`` Scenario; the underscore functions are its
+implementations.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -67,16 +67,19 @@ from repro.engine.workload import (
     make_drift_scenario,
 )
 from repro.obs.profile import PhaseProfiler
-from repro.obs.recorder import MetricsRecorder, TeeRecorder, run_meta
+from repro.obs.recorder import MetricsRecorder, TeeRecorder
 from repro.trace.markov import MarkovRoutingModel
+
+if TYPE_CHECKING:
+    from repro.fleet.requests import FleetCompleted
 
 __all__ = [
     "Request",
-    "CompletedRequest",
     "ServingResult",
     "poisson_arrivals",
     "bursty_arrivals",
     "make_arrivals",
+    "StepCurve",
     "engine_step_time",
     "PlacementStepTimer",
     "KeptSample",
@@ -101,29 +104,10 @@ class Request:
 
 
 @dataclass(frozen=True)
-class CompletedRequest:
-    """A served request with its scheduling timeline."""
-
-    request: Request
-    admitted_s: float
-    finished_s: float
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency: arrival to last generated token."""
-        return self.finished_s - self.request.arrival_s
-
-    @property
-    def queue_s(self) -> float:
-        """Time spent waiting for a batch slot."""
-        return self.admitted_s - self.request.arrival_s
-
-
-@dataclass(frozen=True)
 class ServingResult:
     """Outcome of one continuous-batching serving simulation."""
 
-    completed: tuple[CompletedRequest, ...]
+    completed: tuple[FleetCompleted, ...]
     latency: LatencyStats
     queue: LatencyStats
     makespan_s: float
@@ -214,122 +198,42 @@ def make_arrivals(
     return bursty_arrivals(cfg, rng)
 
 
-# -- continuous batching ------------------------------------------------------
+# -- step curves and continuous batching --------------------------------------
 
 
-def _simulate_serving(
-    requests: Iterable[Request],
-    step_time: Callable[[int], float],
-    max_batch_requests: int = 64,
-    recorder: MetricsRecorder | None = None,
-    meta: Mapping[str, float] | None = None,
-) -> ServingResult:
-    """Serve ``requests`` with iteration-level continuous batching.
+@dataclass(frozen=True, eq=False)
+class StepCurve:
+    """Price a decode step from its batch size alone: a calibrated curve.
 
-    The scheduler is the one production MoE servers run: a single global
-    decode batch advances one token per step for every active request;
-    at each step boundary, waiting requests are admitted FCFS while slots
-    are free (``max_batch_requests`` cap) and finished requests leave
-    immediately.  ``step_time(batch_size)`` prices one decode iteration for
-    the given number of active requests — use :func:`engine_step_time` to
-    derive it from the vectorized engine.
-
-    An attached ``recorder`` observes the run as a one-replica fleet
-    (replica 0, regime 0, always active): enqueue at each arrival, free
-    admission at each step boundary, step and completion hooks as the
-    batch advances; ``meta`` is its ``on_run_start`` meta (see
-    :func:`~repro.obs.recorder.run_meta`).  Recording never changes
-    scheduling or float order.
-
-    Returns the full :class:`ServingResult`, including p50/p95/p99 latency
-    and queueing statistics.
+    ``curve(batch_size)`` interpolates piecewise-linearly between the
+    probed ``(batch_sizes, step_seconds)`` points and clamps outside them.
+    As a fleet pricer it reads no token paths (the engines skip drawing
+    them), and admission is free: the curve is a marginal slope, so the
+    coherent modes' prompt AllGather is already excluded.  ``routing`` and
+    ``placement`` are what the curve was calibrated on; a curve-priced
+    fleet runs them as its one regime and placement.
     """
-    if max_batch_requests <= 0:
-        raise ValueError("max_batch_requests must be positive")
-    pending = deque(sorted(requests, key=lambda q: (q.arrival_s, q.req_id)))
-    if not pending:
-        empty = LatencyStats.from_samples([])
-        return ServingResult((), empty, empty, 0.0, 0.0, 0, 0, 0.0)
 
-    first_arrival = pending[0].arrival_s
-    now = first_arrival
-    busy = 0.0
-    steps = 0
-    weighted_batch = 0.0
-    active: list[list] = []  # [request, tokens_remaining, admitted_s]
-    completed: list[CompletedRequest] = []
+    batch_sizes: np.ndarray
+    step_seconds: np.ndarray
+    routing: MarkovRoutingModel
+    placement: Placement
+    #: the fleet engines sample token paths only for pricers that read them
+    needs_paths: ClassVar[bool] = False
 
-    # telemetry: the single global batch reports as replica 0; arrivals
-    # enqueue lazily (in arrival order, stamped at their arrival time) the
-    # first time the clock passes them
-    arrivals = list(pending) if recorder is not None else []
-    enq_ptr = 0
-    if recorder is not None:
-        recorder.on_run_start(first_arrival, meta or {})
-        recorder.on_replica_start(first_arrival, 0, 0, False, first_arrival, first_arrival)
+    def __call__(self, batch_size: int) -> float:
+        if batch_size < 0:
+            raise ValueError("batch_size must be >= 0")
+        return float(np.interp(float(batch_size), self.batch_sizes, self.step_seconds))
 
-    while pending or active:
-        if not active and pending and pending[0].arrival_s > now:
-            now = pending[0].arrival_s  # idle: jump to the next arrival
-        if recorder is not None:
-            while enq_ptr < len(arrivals) and arrivals[enq_ptr].arrival_s <= now:
-                q = arrivals[enq_ptr]
-                recorder.on_enqueue(q.arrival_s, 0, q.req_id)
-                enq_ptr += 1
-        admitted_ids: list[int] = []
-        while (
-            pending
-            and pending[0].arrival_s <= now
-            and len(active) < max_batch_requests
-        ):
-            req = pending.popleft()
-            active.append([req, req.generate_len, now])
-            if recorder is not None:
-                admitted_ids.append(req.req_id)
-        if recorder is not None and admitted_ids:
-            recorder.on_admit(now, 0, admitted_ids, 0.0)
+    def step_time(
+        self, paths: np.ndarray | None, home_gpu: np.ndarray, context_lens: np.ndarray,
+        placement: Placement, secondary_paths: np.ndarray | None = None,
+    ) -> float:
+        return self(len(home_gpu))
 
-        dt = float(step_time(len(active)))
-        if not dt > 0:
-            raise ValueError(f"step_time must return positive seconds, got {dt}")
-        now += dt
-        busy += dt
-        steps += 1
-        weighted_batch += len(active) * dt
-        if recorder is not None:
-            recorder.on_step_end(now, 0, dt, len(active))
-
-        still_running: list[list] = []
-        for entry in active:
-            entry[1] -= 1
-            if entry[1] == 0:
-                completed.append(CompletedRequest(entry[0], entry[2], now))
-                if recorder is not None:
-                    recorder.on_complete(
-                        now, 0, entry[0].req_id, entry[0].arrival_s, entry[2],
-                        entry[0].generate_len,
-                    )
-            else:
-                still_running.append(entry)
-        active = still_running
-
-    if recorder is not None:
-        recorder.on_run_end(now)
-    makespan = now - first_arrival
-    tokens = sum(c.request.generate_len for c in completed)
-    return ServingResult(
-        completed=tuple(completed),
-        latency=LatencyStats.from_samples([c.latency_s for c in completed]),
-        queue=LatencyStats.from_samples([c.queue_s for c in completed]),
-        makespan_s=makespan,
-        busy_s=busy,
-        decode_steps=steps,
-        generated_tokens=tokens,
-        mean_batch_size=weighted_batch / busy if busy > 0 else 0.0,
-    )
-
-
-# -- engine-calibrated step costs ---------------------------------------------
+    def admission_time(self, home_gpu: np.ndarray, prompt_lens: np.ndarray) -> float:
+        return 0.0
 
 
 def engine_step_time(
@@ -343,8 +247,8 @@ def engine_step_time(
     calibration_generate_len: int = 4,
     cost_model: CostModel | None = None,
     seed: int = 0,
-) -> Callable[[int], float]:
-    """Calibrate ``step_time(batch_size)`` against the vectorized engine.
+) -> StepCurve:
+    """Calibrate a :class:`StepCurve` against the vectorized engine.
 
     Runs two short engine simulations per probe batch size (the batched
     executor makes each probe cheap): one full-length run and one on its
@@ -352,7 +256,7 @@ def engine_step_time(
     iteration — the slope between the two — so one-time costs (the
     coherent modes' before-inference prompt AllGather) and the shared
     prefix cancel exactly instead of being amortised into every step.
-    Returns a piecewise-linear interpolant over total batch size.
+    The curve interpolates piecewise-linearly over total batch size.
     Probes share one routing model and one placement, so the curve isolates
     the batch-size effect.  Batch sizes outside the probed range clamp to
     the nearest probe — pass probes covering your admission cap.
@@ -416,15 +320,12 @@ def engine_step_time(
         batch_sizes.append(b * cluster.num_gpus)
         step_seconds.append((hi - lo) / calibration_generate_len)
 
-    xs = np.asarray(batch_sizes, dtype=np.float64)
-    ys = np.asarray(step_seconds, dtype=np.float64)
-
-    def step_time(batch_size: int) -> float:
-        if batch_size < 0:
-            raise ValueError("batch_size must be >= 0")
-        return float(np.interp(float(batch_size), xs, ys))
-
-    return step_time
+    return StepCurve(
+        np.asarray(batch_sizes, dtype=np.float64),
+        np.asarray(step_seconds, dtype=np.float64),
+        routing,
+        placement,
+    )
 
 
 def _simulate_cluster_serving(
@@ -436,16 +337,18 @@ def _simulate_cluster_serving(
     placement_strategy: str = "staged",
     cost_model: CostModel | None = None,
     recorder: MetricsRecorder | None = None,
+    profiler: PhaseProfiler | None = None,
 ) -> ServingResult:
     """End-to-end serving scenario from a :class:`~repro.config.ServingConfig`.
 
     Calibrates the step-time curve with probes covering the admission cap,
-    draws the configured arrival sequence, and runs continuous batching.
+    draws the configured arrival sequence, and serves it as a curve-priced
+    one-replica fleet (:func:`_simulate_serving`).
     """
     g = cluster.num_gpus
     cap_per_gpu = max(1, -(-serving.max_batch_requests // g))  # ceil div
     probes = sorted({1, *(p for p in (2, 4, 8) if p < cap_per_gpu), cap_per_gpu})
-    step = engine_step_time(
+    curve = engine_step_time(
         model,
         cluster,
         mode=mode,
@@ -460,10 +363,72 @@ def _simulate_cluster_serving(
     requests = make_arrivals(serving, rng)
     return _simulate_serving(
         requests,
-        step,
+        model,
+        cluster,
+        curve.routing,
+        curve.placement,
+        curve,
         max_batch_requests=serving.max_batch_requests,
         recorder=recorder,
-        meta=run_meta(cluster),
+        profiler=profiler,
+    )
+
+
+def _simulate_serving(
+    requests: Iterable[Request],
+    model: ModelConfig,
+    cluster: ClusterConfig,
+    drift: DriftScenario,
+    placement: Placement,
+    timer: PlacementStepTimer | StepCurve,
+    max_batch_requests: int = 64,
+    policy: ReplacementPolicy | None = None,
+    halflife_tokens: float | None = None,
+    rng: np.random.Generator | None = None,
+    replace_rng: np.random.Generator | None = None,
+    recorder: MetricsRecorder | None = None,
+    profiler: PhaseProfiler | None = None,
+) -> ServingResult:
+    """Serve ``requests`` with continuous batching, as a one-replica fleet.
+
+    The tick engine runs ``drift`` as the one regime and ``placement`` as
+    the replica's; infinite SLOs and a queue that holds every request mean
+    nothing is shed.  ``timer`` prices each step (a :class:`StepCurve` from
+    the batch size, a :class:`PlacementStepTimer` from the sampled routing
+    under the *current* placement).  Under ``policy`` the replica migrates
+    experts at step boundaries, stalling every queued and running request.
+    ``rng`` drives the routing draws, ``replace_rng`` the replacer's
+    solver; ``recorder`` and ``profiler`` observe the run.
+    """
+    # imported here: the fleet modules import this one
+    from repro.fleet.engine import simulate_fleet_tick
+    from repro.fleet.requests import FleetRequest
+
+    reqs = [FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len) for q in requests]
+    if not reqs:
+        empty = LatencyStats.from_samples([])
+        return ServingResult((), empty, empty, 0.0, 0.0, 0, 0, 0.0)
+    fleet = FleetConfig(
+        num_replicas=1, min_replicas=1, max_replicas=1, router="round-robin", num_regimes=1,
+        slo_ms=math.inf, batch_slo_ms=math.inf, max_queue_per_replica=len(reqs),
+        replace=policy is not None, engine="tick",
+    )
+    res = simulate_fleet_tick(
+        reqs, model, cluster, [drift], [placement], fleet,
+        max_batch_requests=max_batch_requests, timer=timer, replace_policy=policy,
+        replace_halflife_tokens=halflife_tokens, rng=rng, replace_rng=replace_rng,
+        recorder=recorder, profiler=profiler,
+    )
+    replica = res.replicas[0]
+    return ServingResult(
+        completed=res.completed,
+        latency=res.latency,
+        queue=res.queue,
+        makespan_s=res.makespan_s,
+        busy_s=replica.busy_s,
+        decode_steps=replica.decode_steps,
+        generated_tokens=res.generated_tokens,
+        mean_batch_size=replica.mean_batch_size,
     )
 
 
@@ -505,6 +470,9 @@ class PlacementStepTimer:
     through the module-global collectives, and each memo is cleared when
     it reaches ``_MEMO_CAP`` entries.
     """
+
+    #: the fleet engines sample token paths only for pricers that read them
+    needs_paths: ClassVar[bool] = True
 
     def __init__(
         self,
@@ -579,8 +547,10 @@ class PlacementStepTimer:
         return times
 
     def _check_inputs(
-        self, paths: np.ndarray, home_gpu: np.ndarray, context_lens: np.ndarray
+        self, paths: np.ndarray | None, home_gpu: np.ndarray, context_lens: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if paths is None:
+            raise ValueError("PlacementStepTimer prices a step from its token paths")
         paths = np.asarray(paths, dtype=np.int64)
         home = np.asarray(home_gpu, dtype=np.int64)
         ctx = np.asarray(context_lens, dtype=np.int64)
@@ -601,7 +571,7 @@ class PlacementStepTimer:
 
     def step_time(
         self,
-        paths: np.ndarray,
+        paths: np.ndarray | None,
         home_gpu: np.ndarray,
         context_lens: np.ndarray,
         placement: Placement,
@@ -809,55 +779,25 @@ def _simulate_online_serving(
 ) -> OnlineServingResult:
     """Continuous batching under drifting routing, with live re-placement.
 
-    Runs as a one-replica fleet on the tick engine whose one regime is
-    ``drift``; infinite SLOs and a queue that holds every request mean
-    nothing is shed.  The replica prices each step under its *current*
-    placement and, under ``policy``, migrates experts at step boundaries —
-    a stall every queued and running request pays for.  ``policy=None`` is
-    the static arm.  ``rng`` drives the routing draws, ``replace_rng`` the
-    replacer's solver; ``recorder`` and ``profiler`` observe the fleet run.
+    :func:`_simulate_serving` with a :class:`PlacementStepTimer` (built for
+    ``mode`` when ``timer`` is None) and the kept-mass tracker tee'd next
+    to ``recorder``.  ``policy=None`` is the static arm.
     """
-    # imported here: the fleet modules import this one
-    from repro.fleet.engine import simulate_fleet_tick
-    from repro.fleet.requests import FleetRequest
-
-    reqs = [FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len) for q in requests]
-    if not reqs:
-        empty_stats = LatencyStats.from_samples([])
-        empty = ServingResult((), empty_stats, empty_stats, 0.0, 0.0, 0, 0, 0.0)
-        return OnlineServingResult(empty, (), (), placement, 0.0)
-    fleet = FleetConfig(
-        num_replicas=1, min_replicas=1, max_replicas=1, router="round-robin", num_regimes=1,
-        slo_ms=math.inf, batch_slo_ms=math.inf, max_queue_per_replica=len(reqs),
-        replace=policy is not None, engine="tick",
-    )
     tracker = _KeptMassTracker(drift, placement)
-    res = simulate_fleet_tick(
-        reqs, model, cluster, [drift], [placement], fleet, mode=mode,
-        max_batch_requests=max_batch_requests, timer=timer, replace_policy=policy,
-        replace_halflife_tokens=halflife_tokens, rng=rng, replace_rng=replace_rng,
+    serving = _simulate_serving(
+        requests, model, cluster, drift, placement,
+        timer or PlacementStepTimer(model, cluster, mode=mode),
+        max_batch_requests=max_batch_requests, policy=policy,
+        halflife_tokens=halflife_tokens, rng=rng, replace_rng=replace_rng,
         recorder=tracker if recorder is None else TeeRecorder((recorder, tracker)),
         profiler=profiler,
-    )
-    replica = res.replicas[0]
-    serving = ServingResult(
-        completed=tuple(
-            CompletedRequest(c.request, c.admitted_s, c.finished_s) for c in res.completed
-        ),
-        latency=res.latency,
-        queue=res.queue,
-        makespan_s=res.makespan_s,
-        busy_s=replica.busy_s,
-        decode_steps=replica.decode_steps,
-        generated_tokens=res.generated_tokens,
-        mean_batch_size=replica.mean_batch_size,
     )
     return OnlineServingResult(
         serving=serving,
         events=tuple(tracker.events),
         kept_timeline=tuple(tracker.kept_timeline),
         final_placement=tracker.final_placement,
-        migration_stall_s=replica.migration_stall_s,
+        migration_stall_s=sum((e.stall_s for e in tracker.events), 0.0),
     )
 
 

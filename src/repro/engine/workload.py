@@ -193,7 +193,7 @@ class _BlendedDrift(DriftScenario):
     ``weight_at(t)`` in [0, 1] selects the mix: 0 is pure ``start``, 1 is
     pure ``end``.  Row-stochasticity survives convex combination, so every
     intermediate blend is itself a valid Markov router.  Blends are
-    quantised to 1/64 steps and cached — the serving loop asks for a model
+    quantised to 1/64 steps and cached — the fleet engines ask for a model
     every decode step, and rebuilding (L-1, E, E) stacks per step would
     dominate the simulation.
     """

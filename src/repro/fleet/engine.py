@@ -66,7 +66,7 @@ from repro.config import ClusterConfig, ExecutionMode, FleetConfig, ModelConfig
 from repro.core.online import OnlineReplacer, ReplacementPolicy, model_kept_mass
 from repro.core.placement.base import Placement
 from repro.engine.metrics import LatencyStats
-from repro.engine.serving import PlacementStepTimer
+from repro.engine.serving import PlacementStepTimer, StepCurve
 from repro.engine.workload import DriftScenario
 from repro.fleet.admission import ADMIT, SHED_REASONS, AdmissionController
 from repro.fleet.autoscaler import ReactiveAutoscaler, ScaleEvent, price_cold_start
@@ -130,7 +130,7 @@ class _TickFleet:
         placements_by_regime: Sequence[Placement],
         fleet: FleetConfig,
         max_batch_requests: int,
-        timer: PlacementStepTimer,
+        timer: PlacementStepTimer | StepCurve,
         replace_policy: ReplacementPolicy | None,
         replace_halflife_tokens: float | None,
         dtype_bytes: int,
@@ -503,20 +503,21 @@ class _TickFleet:
             self.next_step_t[rid] = _INF
             self._finish_if_drained(rid, t)
             return
-        regs = self.act_reg[rid, :n]
         profiler = self.profiler
-        _pt = perf_counter() if profiler is not None else 0.0
-        paths = sample_paths_grouped(regs, self.regimes, t, self.rng, self.L)
-        secondary = (
-            sample_paths_grouped(regs, self.regimes, t, self.rng, self.L)
-            if self.top2
-            else None
-        )
-        if profiler is not None:
-            profiler.add("pricing", perf_counter() - _pt)
         replacer = self.replacers[rid]
-        if replacer is not None:
-            replacer.observe(paths)
+        paths: np.ndarray | None = None
+        secondary: np.ndarray | None = None
+        # token paths are drawn only when the pricer or a replacer reads them
+        if self.timer.needs_paths or replacer is not None:
+            regs = self.act_reg[rid, :n]
+            _pt = perf_counter() if profiler is not None else 0.0
+            paths = sample_paths_grouped(regs, self.regimes, t, self.rng, self.L)
+            if self.top2:
+                secondary = sample_paths_grouped(regs, self.regimes, t, self.rng, self.L)
+            if profiler is not None:
+                profiler.add("pricing", perf_counter() - _pt)
+            if replacer is not None:
+                replacer.observe(paths)
         home = self.act_home[rid, :n]
         ctx = self.prompt[self.act_req[rid, :n]] + self.act_gen[rid, :n]
         _pt = perf_counter() if profiler is not None else 0.0
@@ -1210,7 +1211,7 @@ def simulate_fleet_tick(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    timer: PlacementStepTimer | None = None,
+    timer: PlacementStepTimer | StepCurve | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
     dtype_bytes: int = 2,

@@ -9,11 +9,13 @@ every decode step is priced by a
 :class:`~repro.engine.serving.PlacementStepTimer` from routing sampled
 from each request's regime as of the step's start (``model_at(t)``),
 under the replica's *current* placement, and coherent modes pay the
-prompt AllGather at admission.  With ``fleet.replace`` on, a replica may migrate
-experts at a step boundary; it then stalls until a ``resume`` event, and
-requests arriving meanwhile are admitted when that stall ends.  (The
-``online`` scenario kind is exactly one such replica, run on the tick
-engine.)  Above the replicas sit the router
+prompt AllGather at admission; a :class:`~repro.engine.serving.StepCurve`
+reads only the batch size, so no paths are drawn for it.  With
+``fleet.replace`` on, a replica may migrate experts at a step boundary;
+it then stalls until a ``resume`` event, and requests arriving meanwhile
+are admitted when that stall ends.  (The ``online`` and ``serving``
+scenario kinds are exactly one such replica, run on the tick engine.)
+Above the replicas sit the router
 (per-arrival placement/load decision), the admission controller
 (SLO shedding at routing time) and, optionally, the reactive autoscaler
 (periodic ticks that boot or drain replicas, cold starts priced through
@@ -53,7 +55,7 @@ from repro.config import ClusterConfig, ExecutionMode, FleetConfig, ModelConfig
 from repro.core.online import OnlineReplacer, ReplacementPolicy
 from repro.core.placement.base import Placement
 from repro.engine.metrics import LatencyStats
-from repro.engine.serving import PlacementStepTimer
+from repro.engine.serving import PlacementStepTimer, StepCurve
 from repro.engine.workload import DriftScenario
 from repro.fleet.admission import AdmissionController
 from repro.fleet.autoscaler import ReactiveAutoscaler, ScaleEvent, price_cold_start
@@ -87,7 +89,7 @@ def simulate_fleet_reference(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    timer: PlacementStepTimer | None = None,
+    timer: PlacementStepTimer | StepCurve | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
     dtype_bytes: int = 2,
@@ -270,14 +272,19 @@ def simulate_fleet_reference(
             r.stepping = False
             finish_if_drained(r, t)
             return
-        _pt = perf_counter() if profiler is not None else 0.0
-        regs = np.array([e.request.regime for e in r.active], dtype=np.int64)
-        paths = sample_paths_grouped(regs, regimes, t, rng, L)
-        secondary = sample_paths_grouped(regs, regimes, t, rng, L) if top2 else None
-        if profiler is not None:
-            profiler.add("pricing", perf_counter() - _pt)
-        if r.replacer is not None:
-            r.replacer.observe(paths)
+        paths: np.ndarray | None = None
+        secondary: np.ndarray | None = None
+        # token paths are drawn only when the pricer or a replacer reads them
+        if timer.needs_paths or r.replacer is not None:
+            _pt = perf_counter() if profiler is not None else 0.0
+            regs = np.array([e.request.regime for e in r.active], dtype=np.int64)
+            paths = sample_paths_grouped(regs, regimes, t, rng, L)
+            if top2:
+                secondary = sample_paths_grouped(regs, regimes, t, rng, L)
+            if profiler is not None:
+                profiler.add("pricing", perf_counter() - _pt)
+            if r.replacer is not None:
+                r.replacer.observe(paths)
         home = np.array([e.home_gpu for e in r.active], dtype=np.int64)
         ctx = np.array(
             [e.request.prompt_len + e.generated for e in r.active], dtype=np.int64

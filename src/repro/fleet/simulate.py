@@ -19,8 +19,8 @@ priorities, and runs the selected engine.  The public way in is
 :func:`repro.run` with a ``fleet`` Scenario; these two functions are its
 implementation.  A regime is any
 :class:`~repro.engine.workload.DriftScenario`: the online scenario kind
-(:func:`~repro.engine.serving._simulate_online_serving`) calls the tick
-engine directly with one replica and one drifting regime.
+and the serving kind (:func:`~repro.engine.serving._simulate_serving`)
+call the tick engine directly with one replica and one regime.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.costs import CostModel
-from repro.engine.serving import PlacementStepTimer, Request, make_arrivals
+from repro.engine.serving import PlacementStepTimer, Request, StepCurve, make_arrivals
 from repro.engine.workload import DriftScenario
 from repro.fleet.engine import simulate_fleet_tick
 from repro.fleet.reference import simulate_fleet_reference
@@ -63,7 +63,7 @@ def _simulate_fleet_serving(
     fleet: FleetConfig,
     mode: ExecutionMode = ExecutionMode.EXFLOW,
     max_batch_requests: int = 64,
-    timer: PlacementStepTimer | None = None,
+    timer: PlacementStepTimer | StepCurve | None = None,
     replace_policy: ReplacementPolicy | None = None,
     replace_halflife_tokens: float | None = None,
     dtype_bytes: int = 2,

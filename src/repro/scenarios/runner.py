@@ -1,9 +1,9 @@
 """The ``run()`` facade: one entry point for every scenario kind.
 
 ``run(scenario)`` inspects the spec's sections, dispatches to the right
-simulator — the lockstep batch engine, the single-replica continuous-
-batching loop, or a fleet engine (an online drift-aware scenario is a
-one-replica fleet) — and condenses the outcome into one
+simulator — the lockstep batch engine or a fleet engine (a serving
+scenario is a curve-priced one-replica fleet, an online drift-aware one a
+one-replica fleet priced per step) — and condenses the outcome into one
 :class:`~repro.scenarios.report.SimReport`.
 The full underlying result object stays reachable on ``report.raw``.
 
@@ -21,11 +21,12 @@ import multiprocessing
 import os
 import traceback
 import warnings
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.config import ExecutionMode
 from repro.engine.comparison import compare_modes
 from repro.engine.serving import (
+    ServingResult,
     _simulate_cluster_serving,
     _simulate_online_cluster_serving,
 )
@@ -133,19 +134,13 @@ def _run_batch(s: Scenario) -> SimReport:
     )
 
 
-def _run_serving(s: Scenario, recorder: MetricsRecorder | None = None) -> SimReport:
-    res = _simulate_cluster_serving(
-        s.model,
-        s.cluster,
-        s.serving,
-        mode=s.mode,
-        affinity=s.affinity,
-        placement_strategy=s.placement_strategy,
-        recorder=recorder,
-    )
+def _serving_report(
+    s: Scenario, kind: str, res: ServingResult, raw: object, **fields: Any
+) -> SimReport:
+    """The report fields a one-replica run shares, plus ``fields``."""
     return SimReport(
         scenario=s.name,
-        kind="serving",
+        kind=kind,
         completed=len(res.completed),
         generated_tokens=res.generated_tokens,
         makespan_s=res.makespan_s,
@@ -160,8 +155,27 @@ def _run_serving(s: Scenario, recorder: MetricsRecorder | None = None) -> SimRep
         queue_p95_s=res.queue.p95_s,
         latency_hist=res.latency.histogram_dict(),
         **_cost_fields(s, res.makespan_s, res.generated_tokens),
-        raw=res,
+        raw=raw,
+        **fields,
     )
+
+
+def _run_serving(
+    s: Scenario,
+    recorder: MetricsRecorder | None = None,
+    profiler: PhaseProfiler | None = None,
+) -> SimReport:
+    res = _simulate_cluster_serving(
+        s.model,
+        s.cluster,
+        s.serving,
+        mode=s.mode,
+        affinity=s.affinity,
+        placement_strategy=s.placement_strategy,
+        recorder=recorder,
+        profiler=profiler,
+    )
+    return _serving_report(s, "serving", res, res)
 
 
 def _run_online(
@@ -186,29 +200,16 @@ def _run_online(
         recorder=recorder,
         profiler=profiler,
     )
-    serving = res.serving
     timeline = res.kept_timeline
-    return SimReport(
-        scenario=s.name,
-        kind="online",
-        completed=len(serving.completed),
-        generated_tokens=serving.generated_tokens,
-        makespan_s=serving.makespan_s,
-        decode_steps=serving.decode_steps,
-        mean_batch_size=serving.mean_batch_size,
-        throughput_rps=serving.throughput_rps,
-        throughput_tokens_per_s=serving.throughput_tokens_per_s,
-        latency_mean_s=serving.latency.mean_s,
-        latency_p50_s=serving.latency.p50_s,
-        latency_p95_s=serving.latency.p95_s,
-        latency_p99_s=serving.latency.p99_s,
-        queue_p95_s=serving.queue.p95_s,
+    return _serving_report(
+        s,
+        "online",
+        res.serving,
+        res,
         kept_mass_initial=timeline[0].true_kept if timeline else None,
         kept_mass_final=timeline[-1].true_kept if timeline else None,
         num_replacements=res.num_replacements,
         migration_stall_s=res.migration_stall_s,
-        **_cost_fields(s, serving.makespan_s, serving.generated_tokens),
-        raw=res,
     )
 
 
@@ -398,9 +399,9 @@ def run(
     to keep the recorder for Chrome-trace export).  When the recorder is
     a ``TimelineRecorder``, its timeline document lands on
     ``report.timeline``; profiler phase seconds/fractions land in
-    ``report.extra`` under ``profile_*`` keys.  Recorders attach to
-    serving, online and fleet scenarios, profilers to online and fleet
-    scenarios (the two that run on a fleet engine).
+    ``report.extra`` under ``profile_*`` keys.  Recorders and profilers
+    attach to every kind but batch: serving, online and fleet scenarios
+    all run on a fleet engine.
 
     SLO monitoring: when ``telemetry.slo`` is set, a
     :class:`~repro.obs.detect.SignalDetector` rides the same hook stream
@@ -423,15 +424,10 @@ def run(
         recorder = make_recorder(s)
     if profiler is None and tele is not None and tele.profile:
         profiler = PhaseProfiler()
-    if recorder is not None and s.kind == "batch":
+    if (recorder is not None or profiler is not None) and s.kind == "batch":
         raise ValueError(
-            "recorders attach to serving and fleet scenarios (online ones "
-            "included), not kind 'batch'"
-        )
-    if profiler is not None and s.kind not in ("online", "fleet"):
-        raise ValueError(
-            f"profilers attach to online and fleet scenarios (phase timers live "
-            f"in the fleet engines), not kind {s.kind!r}"
+            "recorders and profilers attach to serving and fleet scenarios "
+            "(online ones included), not kind 'batch'"
         )
     detector: SignalDetector | None = None
     engine_recorder: MetricsRecorder | None = recorder
@@ -463,7 +459,7 @@ def run(
     elif s.kind == "online":
         report = _run_online(s, recorder=recorder, profiler=profiler)
     elif s.kind == "serving":
-        report = _run_serving(s, recorder=recorder)
+        report = _run_serving(s, recorder=recorder, profiler=profiler)
     else:
         report = _run_batch(s)
     timeline_rec = next(

@@ -103,9 +103,9 @@ class TelemetrySpec:
     ``window_s=None`` enables the deterministic auto-sizing window,
     ``spans=False`` keeps timelines but drops Chrome-trace span logging,
     ``max_span_events`` bounds span memory.  ``profile=True`` additionally
-    attaches a :class:`repro.obs.profile.PhaseProfiler` (online and fleet
-    scenarios — the phase timers live in the fleet engines) and reports the
-    phase breakdown in ``SimReport.extra``.
+    attaches a :class:`repro.obs.profile.PhaseProfiler` (the phase timers
+    live in the fleet engines, which run every kind but batch) and reports
+    the phase breakdown in ``SimReport.extra``.
 
     ``slo`` attaches a :class:`repro.obs.slo.SloSpec` (fleet scenarios
     only — burn signals need the fleet's shed/availability semantics):
@@ -367,11 +367,6 @@ class Scenario:
                 raise ValueError(
                     "telemetry sections apply to serving and fleet scenarios "
                     "(online ones included), not batch"
-                )
-            if self.telemetry.profile and self.kind == "serving":
-                raise ValueError(
-                    "telemetry.profile requires a fleet section or an online "
-                    "scenario (the phase timers live in the fleet engines)"
                 )
             if self.telemetry.slo is not None and self.fleet is None:
                 raise ValueError(

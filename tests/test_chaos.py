@@ -294,7 +294,7 @@ class TestSweepErrorSurfacing:
     def test_worker_failure_names_the_scenario(self, monkeypatch):
         import repro.scenarios.runner as runner_mod
 
-        def boom(s, recorder=None):
+        def boom(s, recorder=None, profiler=None):
             raise RuntimeError("deliberate test failure")
 
         monkeypatch.setattr(runner_mod, "_run_serving", boom)

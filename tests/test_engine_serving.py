@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import TelemetrySpec, get_scenario, run
 from repro.cluster.collectives import allgather_cost, alltoall_matrix
 from repro.config import (
     ClusterConfig,
@@ -25,6 +26,7 @@ from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.serving import (
     PlacementStepTimer,
     Request,
+    StepCurve,
     bursty_arrivals,
     engine_step_time,
     make_arrivals,
@@ -32,6 +34,7 @@ from repro.engine.serving import (
     _simulate_cluster_serving,
     _simulate_serving,
 )
+from repro.trace.markov import MarkovRoutingModel
 
 
 @pytest.fixture
@@ -39,10 +42,6 @@ def cfg() -> ServingConfig:
     return ServingConfig(
         arrival_rate_rps=100.0, num_requests=200, generate_len=8, max_batch_requests=16
     )
-
-
-def constant_step(seconds: float):
-    return lambda batch: seconds
 
 
 class TestLatencyStats:
@@ -244,77 +243,98 @@ class TestServingConfigValidation:
             ServingConfig(**kwargs)
 
 
+@pytest.fixture
+def serve(small_model, small_cluster):
+    """The one-replica adapter on the small model, priced by a flat curve."""
+    routing = MarkovRoutingModel.with_affinity(
+        small_model.num_experts, small_model.num_moe_layers, 0.85,
+        rng=np.random.default_rng(0),
+    )
+    placement = vanilla_placement(
+        small_model.num_moe_layers, small_model.num_experts, small_cluster.num_gpus
+    )
+
+    def serve(requests, seconds, max_batch_requests=64):
+        curve = StepCurve(np.array([1.0]), np.array([seconds]), routing, placement)
+        return _simulate_serving(
+            requests, small_model, small_cluster, routing, placement, curve,
+            max_batch_requests,
+        )
+
+    return serve
+
+
 class TestContinuousBatching:
-    def test_all_requests_complete(self, cfg):
-        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+    def test_all_requests_complete(self, cfg, serve):
+        res = serve(poisson_arrivals(cfg), 1e-3, 16)
         assert len(res.completed) == cfg.num_requests
         assert res.generated_tokens == cfg.num_requests * cfg.generate_len
 
-    def test_empty_input(self):
-        res = _simulate_serving([], constant_step(1e-3))
+    def test_empty_input(self, serve):
+        res = serve([], 1e-3)
         assert res.completed == () and res.decode_steps == 0
 
-    def test_zero_makespan_throughput_is_zero(self):
+    def test_zero_makespan_throughput_is_zero(self, serve):
         """Regression: zero-span results used to report inf throughput."""
-        res = _simulate_serving([], constant_step(1e-3))
+        res = serve([], 1e-3)
         assert res.makespan_s == 0.0
         assert res.throughput_rps == 0.0
         assert res.throughput_tokens_per_s == 0.0
         assert np.isfinite(res.throughput_rps)
 
-    def test_unloaded_latency_is_pure_service(self):
+    def test_unloaded_latency_is_pure_service(self, serve):
         req = Request(0, 1.0, 8, 10)
-        res = _simulate_serving([req], constant_step(2e-3), 4)
+        res = serve([req], 2e-3, 4)
         c = res.completed[0]
         assert c.queue_s == 0.0
         assert c.latency_s == pytest.approx(10 * 2e-3)
 
-    def test_latency_lower_bound(self, cfg):
+    def test_latency_lower_bound(self, cfg, serve):
         """No request can finish faster than generate_len decode steps."""
-        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+        res = serve(poisson_arrivals(cfg), 1e-3, 16)
         for c in res.completed:
             assert c.latency_s >= cfg.generate_len * 1e-3 - 1e-12
             assert c.queue_s >= 0.0
 
-    def test_percentiles_ordered(self, cfg):
-        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+    def test_percentiles_ordered(self, cfg, serve):
+        res = serve(poisson_arrivals(cfg), 1e-3, 16)
         s = res.latency
         assert s.p50_s <= s.p95_s <= s.p99_s <= s.max_s
 
-    def test_batching_beats_serial(self, cfg):
+    def test_batching_beats_serial(self, cfg, serve):
         """With a flat step cost, continuous batching must raise throughput."""
         reqs = poisson_arrivals(cfg)
-        batched = _simulate_serving(reqs, constant_step(1e-3), 16)
-        serial = _simulate_serving(reqs, constant_step(1e-3), 1)
+        batched = serve(reqs, 1e-3, 16)
+        serial = serve(reqs, 1e-3, 1)
         assert batched.throughput_tokens_per_s > serial.throughput_tokens_per_s
         assert batched.latency.mean_s < serial.latency.mean_s
 
-    def test_more_load_more_latency(self):
+    def test_more_load_more_latency(self, serve):
         lo = ServingConfig(arrival_rate_rps=20.0, num_requests=200, generate_len=8)
         hi = dataclasses.replace(lo, arrival_rate_rps=2000.0)
-        res_lo = _simulate_serving(poisson_arrivals(lo), constant_step(1e-3), 8)
-        res_hi = _simulate_serving(poisson_arrivals(hi), constant_step(1e-3), 8)
+        res_lo = serve(poisson_arrivals(lo), 1e-3, 8)
+        res_hi = serve(poisson_arrivals(hi), 1e-3, 8)
         assert res_hi.latency.mean_s >= res_lo.latency.mean_s
         assert res_hi.queue.mean_s >= res_lo.queue.mean_s
 
-    def test_batch_cap_respected(self, cfg):
-        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 4)
+    def test_batch_cap_respected(self, cfg, serve):
+        res = serve(poisson_arrivals(cfg), 1e-3, 4)
         assert res.mean_batch_size <= 4.0 + 1e-9
 
-    def test_mean_batch_and_utilization_bounds(self, cfg):
-        res = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+    def test_mean_batch_and_utilization_bounds(self, cfg, serve):
+        res = serve(poisson_arrivals(cfg), 1e-3, 16)
         assert 0.0 < res.mean_batch_size <= 16.0
         assert 0.0 < res.utilization <= 1.0
 
-    def test_rejects_bad_step_time(self, cfg):
+    def test_rejects_bad_step_time(self, cfg, serve):
         with pytest.raises(ValueError):
-            _simulate_serving(poisson_arrivals(cfg), constant_step(0.0), 16)
+            serve(poisson_arrivals(cfg), 0.0, 16)
         with pytest.raises(ValueError):
-            _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 0)
+            serve(poisson_arrivals(cfg), 1e-3, 0)
 
-    def test_deterministic(self, cfg):
-        a = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
-        b = _simulate_serving(poisson_arrivals(cfg), constant_step(1e-3), 16)
+    def test_deterministic(self, cfg, serve):
+        a = serve(poisson_arrivals(cfg), 1e-3, 16)
+        b = serve(poisson_arrivals(cfg), 1e-3, 16)
         assert a.latency == b.latency and a.makespan_s == b.makespan_s
 
 
@@ -368,7 +388,6 @@ class TestEngineCalibration:
         # different token stream than the profile the placement was fit to
         model, cluster = tiny
         from repro.engine.workload import make_decode_workload
-        from repro.trace.markov import MarkovRoutingModel
 
         routing = MarkovRoutingModel.with_affinity(
             model.num_experts, model.num_moe_layers, 0.85,
@@ -687,3 +706,57 @@ class TestPlacementStepTimerDtype:
     def test_accepts_inference_config_precisions(self, small_model, small_cluster, dtype_bytes):
         timer = PlacementStepTimer(small_model, small_cluster, dtype_bytes=dtype_bytes)
         assert timer.token_bytes == small_model.d_model * dtype_bytes
+
+
+# The serve smoke presets' report fields, pinned before the serving scenario
+# kind moved onto the one-replica fleet engine: the perf benchmark's digest
+# fields plus the step, batch, throughput and latency-histogram account
+# (non-empty buckets), for the two presets and serve-bursty-smoke under every
+# mode and serving seeds 0-2.  Every value must reproduce bit for bit.
+SERVE_SMOKE_PINNED = {
+    ("serve-poisson-smoke", "exflow", 0): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.12304185360337011, "latency_p50_s": 0.002082746880000005, "latency_p95_s": 0.0025572929135021087, "latency_p99_s": 0.002589056291294297, "availability": 1.0, "detection": {}, "decode_steps": 99, "mean_batch_size": 1.292929292929292, "throughput_rps": 260.0741053784281, "throughput_tokens_per_s": 1040.2964215137124, "latency_hist": {"<0.005s": 32}},
+    ("serve-bursty-smoke", "vanilla", 0): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.0976585845258665, "latency_p50_s": 0.004386994904244018, "latency_p95_s": 0.0049821920459176584, "latency_p99_s": 0.00504285638959175, "availability": 1.0, "detection": {}, "decode_steps": 72, "mean_batch_size": 1.7923884616700714, "throughput_rps": 327.6721668183125, "throughput_tokens_per_s": 1310.68866727325, "latency_hist": {"<0.005s": 30, "<0.01s": 2}},
+    ("serve-bursty-smoke", "vanilla", 1): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.09773995037687189, "latency_p50_s": 0.004181717746049085, "latency_p95_s": 0.004682976431820907, "latency_p99_s": 0.004703166943437145, "availability": 1.0, "detection": {}, "decode_steps": 79, "mean_batch_size": 1.620253164556963, "throughput_rps": 327.39938864929206, "throughput_tokens_per_s": 1309.5975545971683, "latency_hist": {"<0.005s": 32}},
+    ("serve-bursty-smoke", "vanilla", 2): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.0522139747512715, "latency_p50_s": 0.004790372009433198, "latency_p95_s": 0.006225043266673657, "latency_p99_s": 0.006455001574303166, "availability": 1.0, "detection": {}, "decode_steps": 42, "mean_batch_size": 3.3442002738036543, "throughput_rps": 612.8627470411213, "throughput_tokens_per_s": 2451.4509881644854, "latency_hist": {"<0.005s": 20, "<0.01s": 12}},
+    ("serve-bursty-smoke", "context_coherent", 0): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.09670676855485974, "latency_p50_s": 0.003187732085814767, "latency_p95_s": 0.0037158857453010877, "latency_p99_s": 0.0037417691886019143, "availability": 1.0, "detection": {}, "decode_steps": 83, "mean_batch_size": 1.542168674698792, "throughput_rps": 330.89721100387163, "throughput_tokens_per_s": 1323.5888440154865, "latency_hist": {"<0.005s": 32}},
+    ("serve-bursty-smoke", "context_coherent", 1): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.09685191540442739, "latency_p50_s": 0.0030944948371317282, "latency_p95_s": 0.003615475042524969, "latency_p99_s": 0.0036309295240775016, "availability": 1.0, "detection": {}, "decode_steps": 89, "mean_batch_size": 1.4382022471910088, "throughput_rps": 330.401312832861, "throughput_tokens_per_s": 1321.605251331444, "latency_hist": {"<0.005s": 32}},
+    ("serve-bursty-smoke", "context_coherent", 2): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.05088341420371587, "latency_p50_s": 0.003380437649723459, "latency_p95_s": 0.003817065979463228, "latency_p99_s": 0.003956068327987741, "availability": 1.0, "detection": {}, "decode_steps": 52, "mean_batch_size": 2.5365799471509813, "throughput_rps": 628.8886172591605, "throughput_tokens_per_s": 2515.554469036642, "latency_hist": {"<0.005s": 32}},
+    ("serve-bursty-smoke", "exflow", 0): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.09559857556343627, "latency_p50_s": 0.002089448740702368, "latency_p95_s": 0.0025754231971416085, "latency_p99_s": 0.002596800104157477, "availability": 1.0, "detection": {}, "decode_steps": 93, "mean_batch_size": 1.3763440860215037, "throughput_rps": 334.73302098278424, "throughput_tokens_per_s": 1338.932083931137, "latency_hist": {"<0.005s": 32}},
+    ("serve-bursty-smoke", "exflow", 1): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.0962930665084274, "latency_p50_s": 0.002413124322277414, "latency_p95_s": 0.0028875552477852684, "latency_p99_s": 0.002945576215289565, "availability": 1.0, "detection": {}, "decode_steps": 94, "mean_batch_size": 1.3617021276595724, "throughput_rps": 332.31883831635395, "throughput_tokens_per_s": 1329.2753532654158, "latency_hist": {"<0.005s": 32}},
+    ("serve-bursty-smoke", "exflow", 2): {"completed": 32, "shed": 0, "lost": 0, "generated_tokens": 128, "makespan_s": 0.050582480249397196, "latency_p50_s": 0.0026284690212796807, "latency_p95_s": 0.002919164306072, "latency_p99_s": 0.0029832423040197214, "availability": 1.0, "detection": {}, "decode_steps": 62, "mean_batch_size": 2.0792755518725228, "throughput_rps": 632.6301091252114, "throughput_tokens_per_s": 2530.520436500846, "latency_hist": {"<0.005s": 32}},
+}
+
+
+@pytest.mark.parametrize("preset, mode, seed", sorted(SERVE_SMOKE_PINNED))
+def test_serve_smoke_reports_are_pinned(preset, mode, seed):
+    spec = get_scenario(preset)
+    spec = dataclasses.replace(
+        spec,
+        mode=ExecutionMode(mode),
+        serving=dataclasses.replace(spec.serving, seed=seed),
+    )
+    report = run(spec)
+    pinned = dict(SERVE_SMOKE_PINNED[(preset, mode, seed)])
+    hist = pinned.pop("latency_hist")
+    assert {f: getattr(report, f) for f in pinned} == pinned
+    assert report.latency_hist == {b: hist.get(b, 0) for b in report.latency_hist}
+    assert sum(hist.values()) == report.completed
+
+
+@pytest.mark.parametrize("preset", ["serve-poisson-smoke", "serve-bursty-smoke"])
+def test_recorded_queue_gauge_counts_waiting_requests(preset):
+    """Regression: the serving kind used to emit ``on_enqueue`` at the next
+    step boundary instead of at arrival, so its timeline read an empty
+    queue in windows where requests were in fact waiting.  At every window
+    boundary ``t`` the gauge must count the requests with
+    ``arrival_s <= t < admitted_s``."""
+    spec = dataclasses.replace(get_scenario(preset), telemetry=TelemetrySpec())
+    report = run(spec)
+    tl = report.timeline
+    done = report.raw.completed
+    waiting = []
+    for rel_s in tl["time_s"]:
+        t = tl["t0_s"] + rel_s
+        waiting.append(sum(c.request.arrival_s <= t < c.admitted_s for c in done))
+    assert tl["windows"]["queue_total"] == waiting
+    assert any(waiting)

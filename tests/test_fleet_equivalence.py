@@ -270,6 +270,39 @@ def test_one_replica_drifting_regime_with_replacement():
     assert timelines[0] == timelines[1]
 
 
+def test_curve_priced_fleet_under_p2c():
+    # a StepCurve reads no token paths, so neither engine draws them; p2c's
+    # routing draws share that rng, so a skip in only one engine would
+    # shift every later routing decision
+    import numpy as np
+
+    from repro.engine.serving import engine_step_time, make_arrivals
+    from repro.fleet.requests import FleetRequest
+    from repro.fleet.simulate import _simulate_fleet_serving
+
+    curve = engine_step_time(
+        MODEL, CLUSTER, prompt_len=SERVING.prompt_len,
+        probe_requests_per_gpu=(1, 2), calibration_generate_len=2,
+    )
+    reqs = [
+        FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len)
+        for q in make_arrivals(SERVING, np.random.default_rng(0))
+    ]
+    results = [
+        _simulate_fleet_serving(
+            reqs, MODEL, CLUSTER, [curve.routing], [curve.placement],
+            FleetConfig(num_replicas=3, router="p2c", num_regimes=1, engine=engine),
+            max_batch_requests=SERVING.max_batch_requests,
+            timer=curve,
+            rng=np.random.default_rng(2),
+        )
+        for engine in ("event", "tick")
+    ]
+    event, tick = results
+    assert len({r.replica_id for r in tick.replicas if r.served}) > 1
+    assert_identical(event, tick)
+
+
 def test_top2_gating_secondary_paths():
     model = dataclasses.replace(MODEL, gating=GatingKind.TOP2)
     fleet = FleetConfig(num_replicas=2, router="jsq", num_regimes=2)

@@ -408,10 +408,6 @@ class TestTelemetrySpec:
                 telemetry=TelemetrySpec(),
             )
 
-    def test_profile_needs_fleet_section(self):
-        with pytest.raises(ValueError, match="fleet"):
-            _serving_scenario(telemetry=TelemetrySpec(profile=True))
-
     def test_round_trips_through_serde(self):
         s = _serving_scenario(telemetry=TelemetrySpec(window_s=0.25, max_windows=32))
         assert Scenario.from_dict(s.to_dict()) == s
@@ -473,9 +469,16 @@ class TestRunFacadeTelemetry:
         with pytest.raises(ValueError, match="serving and fleet"):
             run(s, recorder=TimelineRecorder())
 
-    def test_profiler_rejected_without_fleet(self):
-        with pytest.raises(ValueError, match="fleet"):
-            run(_serving_scenario(), profiler=PhaseProfiler())
+    def test_profiled_serving_report_equals_unprofiled(self):
+        """The serving kind runs on the tick engine, so it profiles like the
+        others, and profiling changes nothing but the ``profile_*`` extras."""
+        bare = run(_serving_scenario(telemetry=TelemetrySpec()))
+        profiled = run(_serving_scenario(telemetry=TelemetrySpec(profile=True)))
+        assert profiled.extra["profile_total_s"] > 0.0
+        extra = {k: v for k, v in profiled.extra.items() if not k.startswith("profile_")}
+        assert dataclasses.replace(profiled, extra=extra, raw=None) == dataclasses.replace(
+            bare, raw=None
+        )
 
     def test_report_round_trips_with_timeline(self):
         report = run(_serving_scenario(telemetry=TelemetrySpec()), keep_raw=False)
@@ -523,6 +526,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "completed" in out
         assert "replica" in out
+
+    def test_online_run_exports_latency_histogram(self, tmp_path, capsys):
+        """Regression: online reports carried an empty ``latency_hist``, so
+        their OpenMetrics exposition had no latency histogram family."""
+        from repro.obs.export import parse_openmetrics
+
+        om = tmp_path / "online.om.txt"
+        assert self.run_cli(["run", "fig15-abrupt-smoke", "--openmetrics", str(om)]) == 0
+        families = parse_openmetrics(om.read_text())
+        samples = families["repro_request_latency_seconds"]["samples"]
+        count = next(v for n, _, v in samples if n.endswith("_count"))
+        completed = families["repro_requests_completed"]["samples"][0][2]
+        assert count == completed > 0
 
     def test_report_rejects_trace_files(self, tmp_path, spec_file, capsys):
         trace = tmp_path / "out.trace.json"
