@@ -68,6 +68,7 @@ from repro.engine.workload import (
 )
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder, TeeRecorder
+from repro.trace.events import int64_array
 from repro.trace.markov import MarkovRoutingModel
 
 if TYPE_CHECKING:
@@ -551,9 +552,9 @@ class PlacementStepTimer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if paths is None:
             raise ValueError("PlacementStepTimer prices a step from its token paths")
-        paths = np.asarray(paths, dtype=np.int64)
-        home = np.asarray(home_gpu, dtype=np.int64)
-        ctx = np.asarray(context_lens, dtype=np.int64)
+        paths = int64_array(paths, "paths")
+        home = int64_array(home_gpu, "home_gpu")
+        ctx = int64_array(context_lens, "context_lens")
         L = self.model.num_moe_layers
         if paths.ndim != 2 or paths.shape[1] != L:
             raise ValueError(f"paths must be (batch, {L}), got {paths.shape}")
@@ -599,7 +600,7 @@ class PlacementStepTimer:
         gpu_path = placement.gpu_of[self._layers, paths]  # (B, L)
         top2 = secondary_paths is not None and self.model.gating.k == 2
         if top2:
-            sec = np.asarray(secondary_paths, dtype=np.int64)
+            sec = int64_array(secondary_paths, "secondary_paths")
             if sec.shape != paths.shape:
                 raise ValueError("secondary_paths must match paths shape")
             sec_path = placement.gpu_of[self._layers, sec]
@@ -663,8 +664,8 @@ class PlacementStepTimer:
         all ranks (the before-inference AllGather); vanilla keeps contexts
         home-resident, so admission is free.
         """
-        home = np.asarray(home_gpu, dtype=np.int64)
-        plen = np.asarray(prompt_lens, dtype=np.int64)
+        home = int64_array(home_gpu, "home_gpu")
+        plen = int64_array(prompt_lens, "prompt_lens")
         if home.ndim != 1 or home.shape != plen.shape:
             raise ValueError("home_gpu and prompt_lens must be aligned 1-D arrays")
         if home.size == 0:

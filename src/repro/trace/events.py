@@ -21,6 +21,20 @@ import numpy as np
 __all__ = ["RoutingTrace", "CountTrace"]
 
 
+def int64_array(values: object, name: str) -> np.ndarray:
+    """``values`` as an int64 array, refusing entries the cast would change.
+
+    Integer and boolean input is cast without a scan; anything else must be
+    finite and integral, because the cast would truncate ``1.9`` to ``1``.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iub" and not (
+        np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
+    ):
+        raise ValueError(f"{name} must hold finite integers")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class RoutingTrace:
     """Expert-selection paths of a set of profiled tokens.
@@ -40,7 +54,7 @@ class RoutingTrace:
     source: str = ""
 
     def __post_init__(self) -> None:
-        paths = np.asarray(self.paths, dtype=np.int64)
+        paths = int64_array(self.paths, "paths")
         if paths.ndim != 2:
             raise ValueError(f"paths must be 2-D (tokens, layers), got {paths.shape}")
         if self.num_experts < 1:

@@ -17,6 +17,7 @@ hypothesis), 1 gives near-deterministic expert chains.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,10 @@ import numpy as np
 from repro.trace.events import RoutingTrace
 
 __all__ = ["make_affinity_transitions", "MarkovRoutingModel"]
+
+#: calls of at most this many tokens walk each token in Python; larger ones
+#: run the vectorised per-layer passes (crossover measured in DESIGN.md)
+_WALK_MAX_TOKENS = 16
 
 
 def make_affinity_transitions(
@@ -149,29 +154,56 @@ class MarkovRoutingModel:
         return self
 
     def sample(self, num_tokens: int, rng: np.random.Generator | None = None) -> RoutingTrace:
-        """Draw ``num_tokens`` expert paths, fully vectorised.
+        """Draw ``num_tokens`` expert paths by inverse-CDF sampling.
 
-        Sampling uses the inverse-CDF trick per layer: with all tokens'
-        current experts known, gather their rows of the cached transition
-        CDFs and compare against one uniform draw per token.  Gathering
-        cumsum'd rows equals cumsum'ing gathered rows (the accumulate is
-        sequential along each row), and the one ``(L, N)`` draw yields the
-        same doubles in the same order as one ``N``-draw per layer.
+        One ``(L, N)`` uniform draw yields the same doubles in the same order
+        as one ``N``-draw per layer.  A token's expert at layer ``j + 1`` is
+        the number of entries below its uniform in its current expert's row
+        of the cached transition CDFs (clamped to ``E - 1`` against rounding
+        short of 1).  Calls of up to ``_WALK_MAX_TOKENS`` tokens walk each
+        token in Python, bisecting the CDF rows; larger calls gather every
+        token's row and compare per layer.  Both read the same doubles and
+        count the same entries, so they return identical paths.
         """
         if num_tokens < 0:
             raise ValueError("num_tokens must be >= 0")
         rng = rng or np.random.default_rng(0)
         e, L = self.num_experts, self.num_layers
-        paths = np.empty((num_tokens, L), dtype=np.int64)
-        cdf0, cdfs = self._cdfs
         u = rng.random((L, num_tokens))
-
-        # both searches return counts in [0, E]; only the top needs clamping
-        paths[:, 0] = np.minimum(np.searchsorted(cdf0, u[0], side="right"), e - 1)
-        for j in range(L - 1):
-            cdf = cdfs[j][paths[:, j]]  # (N, E)
-            paths[:, j + 1] = np.minimum((cdf < u[j + 1, :, None]).sum(axis=1), e - 1)
+        if num_tokens <= _WALK_MAX_TOKENS:
+            paths = self._walk(u)
+        else:
+            paths = np.empty((num_tokens, L), dtype=np.int64)
+            cdf0, cdfs = self._cdfs
+            # both searches return counts in [0, E]; only the top needs clamping
+            paths[:, 0] = np.minimum(np.searchsorted(cdf0, u[0], side="right"), e - 1)
+            for j in range(L - 1):
+                cdf = cdfs[j][paths[:, j]]  # (N, E)
+                paths[:, j + 1] = np.minimum((cdf < u[j + 1, :, None]).sum(axis=1), e - 1)
         return RoutingTrace(paths, e, source=f"markov(a={self._affinity_label})")
+
+    def _walk(self, u: np.ndarray) -> np.ndarray:
+        """(N, L) paths for the (L, N) uniforms ``u``, one token at a time.
+
+        On a non-decreasing row, ``bisect_left`` counts the entries ``< x``
+        and ``bisect_right`` the entries ``<= x``: the vectorised path's
+        compare-and-sum and ``searchsorted(side="right")``.  Searching only
+        a row's first ``E - 1`` entries is its clamp to ``E - 1``.
+        """
+        e, L = self.num_experts, self.num_layers
+        prior, flat = self._cdf_views
+        top, stride = e - 1, e * e
+        out: list[int] = []
+        for col in u.T.tolist():
+            cur = bisect_right(prior, col[0], 0, top)
+            out.append(cur)
+            base = 0
+            for x in col[1:]:
+                lo = base + cur * e
+                cur = bisect_left(flat, x, lo, lo + top) - lo
+                out.append(cur)
+                base += stride
+        return np.array(out, dtype=np.int64).reshape(-1, L)
 
     @cached_property
     def _cdfs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +211,20 @@ class MarkovRoutingModel:
         e = self.num_experts
         prior = self.prior if self.prior is not None else np.full(e, 1.0 / e)
         return np.cumsum(prior), np.cumsum(self.transitions, axis=2)
+
+    @cached_property
+    def _cdf_views(self) -> tuple[memoryview, memoryview]:
+        """Views of :attr:`_cdfs` for ``bisect``; row ``(j, i)`` starts at ``(j*E + i)*E``.
+
+        Views share the arrays' memory; list copies would double the CDF
+        footprint of every cached drift blend.
+        """
+        cdf0, cdfs = self._cdfs
+        return memoryview(cdf0), memoryview(cdfs.reshape(-1))
+
+    def __getstate__(self) -> dict[str, object]:
+        # memoryviews do not pickle; copies rebuild every cache on demand
+        return {"transitions": self.transitions, "prior": self.prior}
 
     @cached_property
     def _affinity_label(self) -> str:

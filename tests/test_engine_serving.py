@@ -696,6 +696,59 @@ class TestLeanStepPricer:
         assert len(priced) > 4 * cap
 
 
+class TestPlacementStepTimerIntegralInputs:
+    """Ids, ranks and lengths are counts: a fraction is an error, not a floor."""
+
+    @pytest.fixture
+    def setup(self, small_model, small_cluster):
+        placement = vanilla_placement(4, 8, small_cluster.num_gpus)
+        top2 = dataclasses.replace(small_model, gating=GatingKind.TOP2)
+        timer = PlacementStepTimer(top2, small_cluster, mode=ExecutionMode.VANILLA)
+        paths = np.random.default_rng(0).integers(0, 8, size=(2, 4))
+        return timer, placement, paths
+
+    @pytest.mark.parametrize(
+        ("name", "delta"),
+        [
+            ("paths", 0.7),
+            ("home_gpu", 0.2),
+            ("context_lens", 0.9),
+            ("secondary_paths", 0.5),
+            ("context_lens", np.nan),
+        ],
+    )
+    def test_step_time_rejects_fractions(self, setup, name, delta):
+        timer, placement, paths = setup
+        args = {
+            "paths": paths,
+            "home_gpu": np.array([0, 1]),
+            "context_lens": np.array([5, 5]),
+            "secondary_paths": paths,
+        }
+        args[name] = args[name] + delta
+        with pytest.raises(ValueError, match=f"{name} must hold finite integers"):
+            timer.step_time(placement=placement, **args)
+
+    def test_integral_floats_price_as_ints(self, setup):
+        timer, placement, paths = setup
+        price = timer.step_time(paths, [0, 1], [5, 5], placement)
+        assert timer.step_time(paths.astype(float), [0.0, 1.0], [5.0, 5.0], placement) == price
+        with pytest.raises(ValueError, match="paths must hold finite integers"):
+            timer.step_time(paths + 0.7, [0.2, 1.9], [5.9, 5.2], placement)
+
+    @pytest.mark.parametrize(
+        ("name", "home", "plen"),
+        [("home_gpu", [0.5, 1.0], [4, 4]), ("prompt_lens", [0, 1], [4.5, 4.0]),
+         ("prompt_lens", [0, 1], [4.0, np.inf])],
+    )
+    def test_admission_time_rejects_fractions(self, setup, name, home, plen):
+        timer, _, _ = setup
+        for mode in (ExecutionMode.EXFLOW, ExecutionMode.VANILLA):
+            moded = PlacementStepTimer(timer.model, timer.cluster, mode=mode)
+            with pytest.raises(ValueError, match=f"{name} must hold finite integers"):
+                moded.admission_time(np.array(home), np.array(plen))
+
+
 class TestPlacementStepTimerDtype:
     @pytest.mark.parametrize("dtype_bytes", [0, -2, 3, float("nan"), 16])
     def test_rejects_bad_dtype_bytes(self, small_model, small_cluster, dtype_bytes):

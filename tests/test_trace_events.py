@@ -41,6 +41,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RoutingTrace(np.zeros((2, 2), dtype=int), num_experts=0)
 
+    @pytest.mark.parametrize("bad", [[[0.5, 1.9]], [[0.0, np.nan]], [[1.0, np.inf]]])
+    def test_rejects_non_integral_ids(self, bad):
+        # the int64 cast used to truncate [[0.5, 1.9]] to [[0, 1]]
+        with pytest.raises(ValueError, match="paths must hold finite integers"):
+            RoutingTrace(np.array(bad), num_experts=3)
+
+    def test_accepts_integral_floats_and_empty(self):
+        trace = RoutingTrace(np.array([[0.0, 2.0]]), num_experts=3)
+        assert trace.paths.dtype == np.int64
+        assert trace.paths.tolist() == [[0, 2]]
+        assert RoutingTrace(np.empty((0, 3)), num_experts=3).num_tokens == 0
+
 
 class TestStats:
     def test_layer_histogram(self, trace):

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.trace.markov as markov
 from repro.trace.markov import MarkovRoutingModel, make_affinity_transitions
+
+WALK = markov._WALK_MAX_TOKENS
 
 
 class TestTransitions:
@@ -105,7 +112,9 @@ class TestSamplerPinned:
 
     Digests, first rows and the generator's next double were recorded with
     the sampler that drew one ``N``-vector per layer and cumsum'd gathered
-    rows; the stream must match draw for draw.
+    rows; the stream must match draw for draw.  n = 16 and 17 straddle
+    ``_WALK_MAX_TOKENS``: the largest walked call and the smallest
+    vectorised one.
     """
 
     @staticmethod
@@ -117,7 +126,8 @@ class TestSamplerPinned:
         return m
 
     NEXT = {0: 0.8349816305020089, 1: 0.9227256864229143,
-            7: 0.5942656805385423, 500: 0.05565698400795982}
+            7: 0.5942656805385423, 16: 0.9558445492401806,
+            17: 0.7318101234672969, 500: 0.05565698400795982}
 
     @pytest.mark.parametrize(
         ("prior", "n", "digest", "head"),
@@ -130,6 +140,10 @@ class TestSamplerPinned:
             (True, 1, "6e192e0160ed87ca", [[6, 0, 7, 7, 0]]),
             (True, 7, "df029e950febc709", [[4, 7, 6, 6, 1], [3, 1, 7, 7, 2]]),
             (True, 500, "a6645bce23f2b18c", [[1, 1, 2, 1, 0], [0, 3, 1, 3, 3]]),
+            (False, 16, "62a52806877970c9", [[1, 6, 1, 3, 3], [7, 6, 1, 2, 4]]),
+            (False, 17, "2afae01b8f788931", [[7, 6, 0, 4, 6], [1, 1, 7, 7, 3]]),
+            (True, 16, "02ad4acc9b30d95d", [[1, 6, 1, 3, 3], [6, 4, 5, 6, 7]]),
+            (True, 17, "82009b25e5d364ee", [[6, 0, 3, 3, 5], [1, 1, 7, 7, 3]]),
         ],
     )
     def test_paths_and_generator_state(self, prior, n, digest, head):
@@ -148,3 +162,136 @@ class TestSamplerPinned:
         b = model.sample(50, np.random.default_rng(3)).paths
         assert model._cdfs is cdfs
         np.testing.assert_array_equal(a, b)
+
+
+def _both_paths(model, n, rng_factory):
+    """(paths, rng) of a walked and a vectorised ``n``-token call, fresh rng each."""
+    out = []
+    for threshold in (n, n - 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "_WALK_MAX_TOKENS", threshold)
+            rng = rng_factory()
+            out.append((model.sample(n, rng).paths, rng))
+    return out
+
+
+class TestWalkEquivalence:
+    """Small calls walk the CDFs with ``bisect``; the result is the vectorised one."""
+
+    def test_pins_straddle_the_threshold(self):
+        assert WALK == 16
+        assert {16, 17} <= set(TestSamplerPinned.NEXT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        e=st.integers(1, 64),
+        L=st.integers(2, 24),
+        affinity=st.sampled_from([0.0, 0.3, 1.0]),
+        collision=st.sampled_from([0.0, 0.5, 1.0]),
+        successors=st.integers(1, 3),
+        zeros=st.integers(0, 63),
+        n=st.integers(0, 2 * WALK),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walk_equals_vectorised(self, e, L, affinity, collision, successors, zeros, n, seed):
+        gen = np.random.default_rng(seed)
+        t = make_affinity_transitions(
+            e, L, affinity, min(successors, e), rng=gen, collision=collision
+        )
+        prior = gen.random(e)
+        prior[gen.permutation(e)[: min(zeros, e - 1)]] = 0.0
+        for model in (MarkovRoutingModel(t), MarkovRoutingModel(t, prior / prior.sum())):
+            (walked, walked_rng), (vec, vec_rng) = _both_paths(
+                model, n, lambda: np.random.default_rng(seed + 1)
+            )
+            assert walked.shape == (n, L)
+            np.testing.assert_array_equal(walked, vec)
+            assert walked_rng.bit_generator.state == vec_rng.bit_generator.state
+
+
+class _FixedUniforms:
+    """Duck-typed generator whose ``random(shape)`` returns chosen doubles."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, shape: tuple[int, int]) -> np.ndarray:
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+class TestWalkTiesAndClamping:
+    """Uniforms on CDF entries, at 0 and just below 1, and a row short of 1."""
+
+    TOP = np.nextafter(1.0, 0.0)
+
+    @staticmethod
+    def _model() -> MarkovRoutingModel:
+        t = np.empty((2, 4, 4))
+        t[0] = 0.25
+        t[1] = [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.5, 0.0],  # CDF repeats 0 and 1
+            [0.25, 0.25, 0.25, 0.25 - 5e-9],  # sums to 1 - 5e-9: allclose accepts it
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+        return MarkovRoutingModel(t, prior=np.array([0.5, 0.0, 0.25, 0.25]))
+
+    @staticmethod
+    def _direct(model: MarkovRoutingModel, u: np.ndarray) -> np.ndarray:
+        """The formula both paths implement, one token at a time."""
+        e = model.num_experts
+        cdf0, cdfs = model._cdfs
+        rows = []
+        for col in u.T:
+            cur = min(int(np.searchsorted(cdf0, col[0], side="right")), e - 1)
+            row = [cur]
+            for j, x in enumerate(col[1:]):
+                cur = min(int((cdfs[j, cur] < x).sum()), e - 1)
+                row.append(cur)
+            rows.append(row)
+        return np.array(rows, dtype=np.int64).reshape(-1, model.num_layers)
+
+    def _check(self, model: MarkovRoutingModel, u: np.ndarray) -> np.ndarray:
+        want = self._direct(model, u)
+        (walked, _), (vec, _) = _both_paths(model, u.shape[1], lambda: _FixedUniforms(u))
+        np.testing.assert_array_equal(walked, want)
+        np.testing.assert_array_equal(vec, want)
+        return want
+
+    def test_every_tie_and_extreme(self):
+        model = self._model()
+        cdf0, cdfs = model._cdfs
+        values = np.unique(np.concatenate([cdf0, cdfs.ravel(), [0.0, self.TOP]]))
+        values = values[values < 1.0]  # a generator's doubles lie in [0, 1)
+        grid = np.stack(np.meshgrid(values, values, values, indexing="ij")).reshape(3, -1)
+        for start in range(0, grid.shape[1], WALK):
+            self._check(model, grid[:, start : start + WALK])
+
+    def test_short_row_clamps_to_last_expert(self):
+        model = self._model()
+        # expert 0 (u = 0), expert 2 of the uniform row, then every entry of
+        # the short row lies below u: the count is 4, clamped to 3
+        u = np.array([[0.0], [0.6], [self.TOP]])
+        assert (model._cdfs[1][1, 2] < self.TOP).all()
+        assert self._check(model, u).tolist() == [[0, 2, 3]]
+
+    def test_ties_follow_the_vectorised_sides(self):
+        model = self._model()
+        # prior CDF [.5, .5, .75, 1]: u = .5 counts entries <= u, so expert 2
+        # (never the zero-mass expert 1); transition CDF [.25, .5, .75, 1]:
+        # u = .5 counts entries < u, so expert 1; row 1 of the next layer has
+        # CDF [0, .5, 1, 1], where u = .5 counts one entry
+        u = np.array([[0.5, 0.5], [0.5, 0.25], [0.5, 0.0]])
+        assert self._check(model, u).tolist() == [[2, 1, 1], [2, 0, 0]]
+
+
+class TestModelCopies:
+    def test_sampled_model_pickles_and_copies(self):
+        model = MarkovRoutingModel.with_affinity(8, 4, 0.7)
+        model.sample(3)  # builds the cached memoryviews
+        want = model.sample(40, np.random.default_rng(1)).paths
+        small = model.sample(3, np.random.default_rng(1)).paths
+        for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), copy.copy(model)):
+            np.testing.assert_array_equal(clone.sample(40, np.random.default_rng(1)).paths, want)
+            np.testing.assert_array_equal(clone.sample(3, np.random.default_rng(1)).paths, small)
