@@ -6,20 +6,19 @@ Wraps the common workflows so the library is usable without writing Python:
   spec file (``--scenario``).  The one entry point that covers batch
   comparisons, single-replica serving, online re-placement and fleets.
   ``--trace``/``--metrics`` export Chrome-trace and metric-timeline JSON.
+  For an ad-hoc variant, write a preset's spec with ``--out-spec``, edit
+  the JSON and run it back with ``--scenario``.
 * ``report`` — terminal summary (headline + per-replica utilization) of
   an exported metrics timeline.
 * ``scenarios`` — enumerate the registered presets (``scenarios list``).
 * ``models`` — list the Table II model presets.
 * ``profile`` — sample a routing trace (Markov router) to an ``.npz`` file.
 * ``place`` — solve an expert placement from a trace file.
-* ``simulate`` — run the three-way serving comparison and print the table.
-* ``serve`` — request-level serving with continuous batching and tail-latency
-  metrics (a thin wrapper that builds a serving/online Scenario).
-* ``fleet`` — multi-replica serving behind a request router (a thin wrapper
-  that builds a fleet Scenario).
 * ``heatmap`` — render a trace's layer-pair affinity heatmap.
+* ``lint`` — the repro-specific static-analysis rules.
 
-Every command takes ``--seed`` and prints deterministic output.
+Output is deterministic: scenarios carry their seeds, and ``profile``
+takes ``--seed``.  Bad input exits 2 with an ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,33 +33,16 @@ import numpy as np
 
 from repro.analysis.heatmap import ascii_heatmap
 from repro.analysis.report import format_table
-from repro.chaos import bad_day_schedule
-from repro.config import (
-    FLEET_ENGINES,
-    PAPER_MODELS,
-    ROUTER_KINDS,
-    ClusterConfig,
-    ExecutionMode,
-    FleetConfig,
-    InferenceConfig,
-    ServingConfig,
-    paper_model,
-)
+from repro.config import PAPER_MODELS, ClusterConfig, paper_model
 from repro.core.affinity import affinity_matrix, scaled_affinity
-from repro.core.online import ReplacementPolicy
 from repro.core.placement.base import placement_locality
 from repro.core.placement.registry import SOLVERS, solve_placement
-from repro.engine.comparison import ComparisonRow, compare_modes
-from repro.engine.workload import DRIFT_KINDS
+from repro.engine.comparison import ComparisonRow
 from repro.obs.export import openmetrics_text
 from repro.obs.recorder import TimelineRecorder
-from repro.obs.slo import SloSpec
 from repro.scenarios import (
     SCENARIO_KINDS,
-    DriftSpec,
-    ReplacementSpec,
     Scenario,
-    TelemetrySpec,
     get_scenario,
     list_scenarios,
     make_recorder,
@@ -178,149 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="staged", choices=SOLVERS)
     p.add_argument("--out", help="optional placement .npz path")
 
-    p = sub.add_parser("simulate", help="compare serving strategies end to end")
-    p.add_argument("--model", default="gpt-m-350m-e32")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--gpus-per-node", type=int, default=4)
-    p.add_argument("--requests-per-gpu", type=int, default=8)
-    p.add_argument("--prompt-len", type=int, default=64)
-    p.add_argument("--generate-len", type=int, default=8)
-    p.add_argument("--affinity", type=float, default=0.85)
-    p.add_argument("--strategy", default="staged", choices=SOLVERS)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser(
-        "serve", help="request-level serving simulation (continuous batching)"
-    )
-    p.add_argument("--model", default="gpt-m-350m-e32")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--gpus-per-node", type=int, default=4)
-    p.add_argument("--arrival", default="poisson", choices=["poisson", "bursty"])
-    p.add_argument("--rate", type=float, default=64.0, help="mean arrivals per second")
-    p.add_argument("--requests", type=int, default=512)
-    p.add_argument("--burst-factor", type=float, default=4.0)
-    p.add_argument("--burst-fraction", type=float, default=0.25)
-    p.add_argument("--burst-persistence", type=float, default=0.9)
-    p.add_argument("--max-batch", type=int, default=64)
-    p.add_argument("--prompt-len", type=int, default=64)
-    p.add_argument("--generate-len", type=int, default=32)
-    p.add_argument(
-        "--mode",
-        default="exflow",
-        choices=[m.value for m in ExecutionMode],
-        help="execution strategy used to calibrate step cost",
-    )
-    p.add_argument("--strategy", default="staged", choices=SOLVERS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--drift",
-        default="none",
-        choices=DRIFT_KINDS,
-        help="routing drift scenario over the serving horizon",
-    )
-    p.add_argument(
-        "--replace",
-        action="store_true",
-        help="enable online re-placement (kept-mass degradation trigger)",
-    )
-    p.add_argument(
-        "--replace-every",
-        type=int,
-        default=0,
-        metavar="STEPS",
-        help="also force a re-solve every N decode steps (implies --replace)",
-    )
-    p.add_argument(
-        "--replace-threshold",
-        type=float,
-        default=0.15,
-        help="relative kept-mass drop that triggers a re-solve",
-    )
-    p.add_argument(
-        "--halflife",
-        type=float,
-        default=2048.0,
-        metavar="TOKENS",
-        help="streaming affinity estimator halflife in tokens",
-    )
-
-    p = sub.add_parser(
-        "fleet", help="multi-replica serving: router + SLO admission + autoscaling"
-    )
-    p.add_argument("--model", default="gpt-m-350m-e32")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--gpus-per-node", type=int, default=4)
-    p.add_argument("--arrival", default="poisson", choices=["poisson", "bursty"])
-    p.add_argument("--rate", type=float, default=256.0, help="mean arrivals per second")
-    p.add_argument("--requests", type=int, default=512)
-    p.add_argument("--burst-factor", type=float, default=4.0)
-    p.add_argument("--burst-fraction", type=float, default=0.25)
-    p.add_argument("--burst-persistence", type=float, default=0.9)
-    p.add_argument("--max-batch", type=int, default=64)
-    p.add_argument("--prompt-len", type=int, default=64)
-    p.add_argument("--generate-len", type=int, default=32)
-    p.add_argument(
-        "--mode",
-        default="exflow",
-        choices=[m.value for m in ExecutionMode],
-        help="execution strategy pricing each replica's decode steps",
-    )
-    p.add_argument("--strategy", default="staged", choices=SOLVERS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=4, help="replicas at t=0")
-    p.add_argument(
-        "--router",
-        default="p2c",
-        choices=ROUTER_KINDS,
-        help="request routing policy",
-    )
-    p.add_argument(
-        "--regimes", type=int, default=2, help="routing regimes in the traffic mix"
-    )
-    p.add_argument(
-        "--slo-ms", type=float, default=400.0, help="interactive-class latency SLO"
-    )
-    p.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="enable reactive queue-depth autoscaling",
-    )
-    p.add_argument("--min-replicas", type=int, default=1)
-    p.add_argument("--max-replicas", type=int, default=8)
-    p.add_argument(
-        "--replace",
-        action="store_true",
-        help="run each replica's online re-placement loop",
-    )
-    p.add_argument(
-        "--engine",
-        default="event",
-        choices=FLEET_ENGINES,
-        help=(
-            "fleet simulation engine: the event-heap oracle or the "
-            "vectorized tick engine (identical results, built for scale)"
-        ),
-    )
-    p.add_argument(
-        "--chaos",
-        action="store_true",
-        help=(
-            "inject a seeded 'bad day' (replica crashes, spot preemptions, "
-            "brownouts) with retry-with-backoff serving; schedule derives "
-            "from --seed"
-        ),
-    )
-    p.add_argument(
-        "--slo",
-        action="store_true",
-        help=(
-            "attach SLO monitoring: burn-rate alerts over a recorded "
-            "timeline plus signal-driven outage/brownout detection, printed "
-            "as compliance/alert tables (observation-only — results are "
-            "identical with or without it)"
-        ),
-    )
-
     p = sub.add_parser("heatmap", help="render a trace's affinity heatmap")
     p.add_argument("--trace", required=True)
     p.add_argument("--layer", type=int, default=0)
@@ -353,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# -- result printers (shared by `run` and the legacy wrappers) ----------------
+# -- result printers (shared by `run` and `report`) ---------------------------
 
 
 def _print_batch_rows(rows: dict[str, ComparisonRow], title: str) -> None:
@@ -649,6 +488,13 @@ def _print_slo_summary(
     scored = detection.get("scored") if detection else None
     if isinstance(scored, dict) and isinstance(scored.get("outages"), dict):
         so = scored["outages"]
+        if not so.get("observable_events"):
+            # recall and latency over zero events are vacuous
+            print(
+                "detection vs ground truth: no observable outages, "
+                f"{so.get('false_alarms', 0)} false alarm(s)"
+            )
+            return
         lat = so.get("detection_latency", {})
         print(
             f"detection vs ground truth: {so.get('detected', 0)}/"
@@ -707,11 +553,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: cannot load scenario {spec_path!r}: {exc}", file=sys.stderr)
             return 2
     else:
-        try:
-            scenario = get_scenario(args.name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        scenario = get_scenario(args.name)
     recorder = None
     if args.trace or args.metrics:
         if scenario.kind == "batch":
@@ -975,143 +817,6 @@ def _cmd_place(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = paper_model(args.model)
-    cluster = ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node)
-    infer = InferenceConfig(
-        requests_per_gpu=args.requests_per_gpu,
-        prompt_len=args.prompt_len,
-        generate_len=args.generate_len,
-    )
-    rows = compare_modes(
-        model,
-        cluster,
-        infer,
-        placement_strategy=args.strategy,
-        affinity=args.affinity,
-        seed=args.seed,
-    )
-    _print_batch_rows(
-        rows,
-        title=f"{model.name} on {cluster.num_nodes}x{cluster.gpus_per_node} GPUs",
-    )
-    return 0
-
-
-def _serving_config_from_args(args: argparse.Namespace) -> ServingConfig:
-    return ServingConfig(
-        arrival=args.arrival,
-        arrival_rate_rps=args.rate,
-        num_requests=args.requests,
-        burst_factor=args.burst_factor,
-        burst_fraction=args.burst_fraction,
-        burst_persistence=args.burst_persistence,
-        max_batch_requests=args.max_batch,
-        prompt_len=args.prompt_len,
-        generate_len=args.generate_len,
-        seed=args.seed,
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Thin wrapper: build a serving/online Scenario, run it, print tables."""
-    model = paper_model(args.model)
-    cluster = ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node)
-    serving = _serving_config_from_args(args)
-    policy = None
-    if args.replace or args.replace_every > 0:
-        policy = ReplacementPolicy(
-            kept_mass_drop=args.replace_threshold,
-            replace_every_steps=args.replace_every or None,
-        )
-    online_mode = args.drift != "none" or policy is not None
-    scenario = Scenario(
-        name=f"cli-serve-{args.arrival}",
-        model=model,
-        cluster=cluster,
-        mode=ExecutionMode(args.mode),
-        placement_strategy=args.strategy,
-        serving=serving,
-        drift=DriftSpec(args.drift) if online_mode else None,
-        replacement=(
-            ReplacementSpec(policy, halflife_tokens=args.halflife) if policy else None
-        ),
-    )
-    report = run_scenario(scenario)
-    title = (
-        f"{model.name} serving on {cluster.num_nodes}x"
-        f"{cluster.gpus_per_node} GPUs — {args.rate:g} req/s, "
-        f"{args.mode} engine"
-    )
-    if report.kind == "online":
-        _print_serving_result(report.raw.serving, args.arrival, title)
-        _print_online_events(report.raw, args.drift, policy is not None)
-    else:
-        _print_serving_result(report.raw, args.arrival, title)
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Thin wrapper: build a fleet Scenario, run it, print tables."""
-    model = paper_model(args.model)
-    cluster = ClusterConfig(num_nodes=args.nodes, gpus_per_node=args.gpus_per_node)
-    serving = _serving_config_from_args(args)
-    fleet = FleetConfig(
-        num_replicas=args.replicas,
-        router=args.router,
-        num_regimes=args.regimes,
-        slo_ms=args.slo_ms,
-        batch_slo_ms=10.0 * args.slo_ms,
-        autoscale=args.autoscale,
-        # with autoscaling on, FleetConfig validates min <= replicas <= max
-        # and conflicting flags must error, not silently widen the user's
-        # bounds; without it the bounds are inert, so any static size runs
-        min_replicas=(
-            args.min_replicas if args.autoscale else min(args.min_replicas, args.replicas)
-        ),
-        max_replicas=(
-            args.max_replicas if args.autoscale else max(args.max_replicas, args.replicas)
-        ),
-        replace=args.replace,
-        engine=args.engine,
-        chaos=(
-            bad_day_schedule(
-                num_replicas=args.replicas,
-                # nominal horizon; faults land in its middle 60%
-                horizon_s=args.requests / args.rate,
-                seed=args.seed,
-            )
-            if args.chaos
-            else None
-        ),
-    )
-    scenario = Scenario(
-        name=f"cli-fleet-{args.router}",
-        model=model,
-        cluster=cluster,
-        mode=ExecutionMode(args.mode),
-        placement_strategy=args.strategy,
-        serving=serving,
-        fleet=fleet,
-        telemetry=(
-            TelemetrySpec(slo=SloSpec(p95_ms=args.slo_ms)) if args.slo else None
-        ),
-    )
-    report = run_scenario(scenario)
-    _print_fleet_result(
-        report.raw,
-        args.router,
-        title=(
-            f"{model.name} fleet — {args.replicas} replica(s) of "
-            f"{cluster.num_nodes}x{cluster.gpus_per_node} GPUs, "
-            f"{args.rate:g} req/s offered"
-        ),
-    )
-    if args.slo:
-        _print_slo_summary(report.slo, report.alerts, report.detection)
-    return 0
-
-
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     trace = RoutingTrace.load(args.trace)
     if not 0 <= args.layer < trace.num_layers - 1:
@@ -1132,8 +837,6 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     # local import: the lint machinery is pure stdlib+repro and never needed
     # by the simulation entry points
-    import json as _json
-
     from repro.lint import RULES, lint_paths
 
     if args.list_rules:
@@ -1142,13 +845,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             scope = ", ".join(rule.scope) if rule.scope else "all paths"
             print(f"{code} {rule.name}: {rule.description} [{scope}]")
         return 0
-    try:
-        diagnostics = lint_paths(args.paths)
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+    diagnostics = lint_paths(args.paths)
     if args.json:
-        print(_json.dumps([d.to_dict() for d in diagnostics], indent=2))
+        print(json.dumps([d.to_dict() for d in diagnostics], indent=2))
     else:
         for diag in diagnostics:
             print(diag.format())
@@ -1164,9 +863,6 @@ _COMMANDS = {
     "models": _cmd_models,
     "profile": _cmd_profile,
     "place": _cmd_place,
-    "simulate": _cmd_simulate,
-    "serve": _cmd_serve,
-    "fleet": _cmd_fleet,
     "heatmap": _cmd_heatmap,
     "lint": _cmd_lint,
 }
@@ -1174,7 +870,14 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, KeyError, ValueError) as exc:
+        # bad user input (a missing file, an unknown name, an out-of-range
+        # value) gets one line on stderr, not a traceback
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ stops keeping tokens local.  This module closes the loop:
 * :class:`ReplacementPolicy` — when to act: a relative kept-mass
   degradation threshold versus the post-solve baseline, an effective-sample
   floor before the estimate is trusted, a cooldown between migrations, and
-  an optional forced periodic cadence (``repro serve --replace-every``).
+  an optional forced periodic cadence (``replace_every_steps``).
 * :class:`OnlineReplacer` — the actor: warm-starts
   :func:`~repro.core.placement.local_search.local_search_placement` from the
   *current* placement (swap search converges in a few passes when the drift

@@ -21,7 +21,7 @@ front-end on top of :mod:`repro.engine.serving`:
   same results, array state and batched arrival windows for
   million-request fleets (``engine="tick"``).
 * :mod:`repro.fleet.simulate` — the engine dispatch and the config-driven
-  entry point (``repro fleet`` on the CLI, fig16 in the benchmarks).
+  entry point behind ``repro run`` on fleet scenarios.
 """
 
 from repro.fleet.admission import (

@@ -13,7 +13,7 @@ The fleet simulation exists twice, by design:
 
 :func:`_simulate_fleet_serving` dispatches on ``FleetConfig.engine``;
 :func:`_simulate_fleet_cluster_serving` is the config-driven entry point
-(the ``repro fleet`` CLI and the fig16 benchmark): it draws the regime
+(``repro run`` on fleet scenarios, fig16 included): it draws the regime
 models, solves one placement per regime, labels arrivals with regimes and
 priorities, and runs the selected engine.  The public way in is
 :func:`repro.run` with a ``fleet`` Scenario; these two functions are its

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-from typing import ClassVar
-
 import numpy as np
 import pytest
 
@@ -101,6 +99,47 @@ class TestRunCommand:
         get_scenario("serve-poisson-smoke").save(path)
         assert main(["run", "serve-poisson-smoke", "--scenario", str(path)]) == 2
         assert main(["run"]) == 2
+
+
+class TestPresetPrinters:
+    """`repro run` renders the online, fleet, chaos and SLO tables."""
+
+    _EXPECTED: ClassVar[dict[str, tuple[str, ...]]] = {
+        "fig15-abrupt-smoke": (
+            "kept transition mass",
+            "drift=abrupt",
+            "online re-placements",
+        ),
+        "fleet-bad-day-smoke": (
+            "per-replica",
+            "SLO ok",
+            "autoscaler actions",
+            "chaos: injected failures",
+            "availability",
+            "time-to-recover",
+        ),
+        "fleet-steady-day-smoke": ("per-replica", "SLO ok", "SLO compliance"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_EXPECTED))
+    def test_tables_render_and_repeat_exactly(self, name, capsys):
+        assert main(["run", name]) == 0
+        first = capsys.readouterr().out
+        for marker in self._EXPECTED[name]:
+            assert marker in first
+        assert main(["run", name]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_chaos_free_detection_line_is_not_vacuous(self, capsys):
+        assert main(["run", "fleet-steady-day-smoke"]) == 0
+        line = next(
+            ln
+            for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("detection vs ground truth")
+        )
+        assert "no observable outages, 0 false alarm(s)" in line
+        assert "recall" not in line
+        assert "latency" not in line
 
 
 class TestScenariosCommand:
@@ -211,233 +250,6 @@ class TestPlace:
         assert "same-GPU" in capsys.readouterr().out
 
 
-class TestSimulate:
-    def test_prints_comparison(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--model",
-                "gpt-m-350m-e8",
-                "--nodes",
-                "2",
-                "--gpus-per-node",
-                "4",
-                "--requests-per-gpu",
-                "2",
-                "--generate-len",
-                "3",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "deepspeed" in out
-        assert "exflow" in out
-
-
-class TestServe:
-    def test_prints_tail_latency(self, capsys):
-        code = main(
-            [
-                "serve",
-                "--model",
-                "gpt-m-350m-e8",
-                "--nodes",
-                "2",
-                "--gpus-per-node",
-                "2",
-                "--requests",
-                "32",
-                "--rate",
-                "300",
-                "--generate-len",
-                "4",
-                "--max-batch",
-                "8",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "p99 ms" in out
-        assert "tokens/s" in out
-
-    def test_bursty_arrival(self, capsys):
-        code = main(
-            [
-                "serve",
-                "--model",
-                "gpt-m-350m-e8",
-                "--nodes",
-                "1",
-                "--gpus-per-node",
-                "2",
-                "--arrival",
-                "bursty",
-                "--requests",
-                "16",
-                "--rate",
-                "200",
-                "--generate-len",
-                "4",
-                "--max-batch",
-                "4",
-                "--mode",
-                "vanilla",
-            ]
-        )
-        assert code == 0
-        assert "bursty" in capsys.readouterr().out
-
-    def test_unknown_arrival_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--arrival", "uniform"])
-
-    def test_drift_prints_kept_mass(self, capsys):
-        code = main(
-            [
-                "serve",
-                "--model",
-                "gpt-m-350m-e8",
-                "--nodes",
-                "2",
-                "--gpus-per-node",
-                "2",
-                "--requests",
-                "24",
-                "--rate",
-                "500",
-                "--generate-len",
-                "4",
-                "--max-batch",
-                "8",
-                "--drift",
-                "abrupt",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "kept transition mass" in out
-        assert "drift=abrupt" in out
-
-    def test_replace_every_reports_events_or_none(self, capsys):
-        code = main(
-            [
-                "serve",
-                "--model",
-                "gpt-m-350m-e8",
-                "--nodes",
-                "2",
-                "--gpus-per-node",
-                "2",
-                "--requests",
-                "48",
-                "--rate",
-                "1000",
-                "--generate-len",
-                "6",
-                "--max-batch",
-                "16",
-                "--drift",
-                "abrupt",
-                "--replace",
-                "--replace-every",
-                "16",
-                "--halflife",
-                "128",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "online re-placement" in out
-
-    def test_unknown_drift_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--drift", "sideways"])
-
-
-class TestFleet:
-    _BASE: ClassVar[list[str]] = [
-        "fleet",
-        "--model",
-        "gpt-m-350m-e8",
-        "--nodes",
-        "2",
-        "--gpus-per-node",
-        "2",
-        "--requests",
-        "48",
-        "--rate",
-        "400",
-        "--generate-len",
-        "4",
-        "--max-batch",
-        "8",
-        "--replicas",
-        "2",
-    ]
-
-    def test_runs_each_router(self, capsys):
-        for router in ("round-robin", "jsq", "p2c", "affinity"):
-            code = main([*self._BASE, "--router", router])
-            assert code == 0
-            out = capsys.readouterr().out
-            assert router in out
-            assert "per-replica" in out
-            assert "SLO ok" in out
-
-    def test_autoscale_flag(self, capsys):
-        code = main(
-            [*self._BASE,"--router", "jsq", "--autoscale", "--min-replicas", "1", "--max-replicas", "4"]
-        )
-        assert code == 0
-        # quiet traffic: the fleet may shrink but the command must succeed
-        assert "fleet" in capsys.readouterr().out
-
-    def test_slo_ms_flag_sheds_when_impossible(self, capsys):
-        # sub-microsecond SLO: every predicted latency violates it, so the
-        # shed % cell must be non-zero (the only percent-formatted zero)
-        code = main([*self._BASE, "--router", "jsq", "--slo-ms", "0.001"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0.00%" not in out
-
-    def test_rejects_unknown_router(self):
-        with pytest.raises(SystemExit):
-            main([*self._BASE, "--router", "alphabetical"])
-
-    def test_conflicting_replica_bounds_error(self):
-        # with autoscaling on, --replicas 2 above --max-replicas 1 must
-        # surface FleetConfig's ValueError, not silently widen the cap
-        with pytest.raises(ValueError):
-            main([*self._BASE, "--autoscale", "--max-replicas", "1"])
-
-    def test_chaos_flag_injects_and_reports(self, capsys):
-        # --chaos derives a seeded bad day from the nominal horizon; at
-        # this load at least the crash fires, so the chaos table and the
-        # availability/goodput summary line must render
-        code = main(
-            [*self._BASE, "--requests", "100", "--rate", "2000", "--chaos", "--seed", "3"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "chaos: injected failures" in out
-        assert "availability" in out
-        assert "time-to-recover" in out
-
-    def test_chaos_is_seed_deterministic(self, capsys):
-        args = [*self._BASE, "--requests", "64", "--rate", "2000", "--chaos", "--seed", "5"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        assert capsys.readouterr().out == first
-
-    def test_static_fleet_ignores_autoscaler_bounds(self, capsys):
-        # without --autoscale the replica-count bounds are meaningless; a
-        # static fleet larger than the default max must just run
-        code = main([*self._BASE, "--replicas", "9", "--requests", "16"])
-        assert code == 0
-        assert "per-replica" in capsys.readouterr().out
-
-
 class TestHeatmap:
     def test_renders(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.npz"
@@ -458,4 +270,41 @@ class TestParser:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
-            main(["simulate", "--strategy", "quantum"])
+            main(["place", "--trace", "t.npz", "--strategy", "quantum"])
+
+    @pytest.mark.parametrize("command", ["serve", "fleet", "simulate"])
+    def test_removed_wrappers_are_invalid_choices(self, command, capsys):
+        # `run` on a preset or an edited spec covers what these did
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestBadInputFailsCleanly:
+    """Every command reports bad input like `run`: an error line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["place", "--trace", "missing.npz"],
+            ["heatmap", "--trace", "missing.npz"],
+            ["profile", "--model", "nope", "--out", "t.npz"],
+            ["profile", "--affinity", "1.5", "--out", "t.npz"],
+            ["profile", "--tokens", "-5", "--out", "t.npz"],
+        ],
+        ids=[
+            "place-missing-trace",
+            "heatmap-missing-trace",
+            "profile-unknown-model",
+            "profile-affinity-out-of-range",
+            "profile-negative-tokens",
+        ],
+    )
+    def test_error_line_and_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.npz").exists()

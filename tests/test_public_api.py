@@ -8,11 +8,35 @@ solver registry entries without implementations.
 from __future__ import annotations
 
 import importlib
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# documents whose `python -m repro ...` commands must parse
+CLI_DOCS = ("DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+
+
+def documented_cli_commands(text: str) -> list[str]:
+    """The argv (after ``python -m repro``) of every command in ``text``.
+
+    Fenced blocks are read line by line with ``\\`` continuations joined;
+    inline code spans may wrap across lines.
+    """
+    spans = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        spans += re.sub(r"\\\n\s*", " ", block).splitlines()
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    spans += [" ".join(s.split()) for s in re.findall(r"`([^`]+)`", prose)]
+    return [
+        span.split("python -m repro", 1)[1].split(" #", 1)[0].strip()
+        for span in spans
+        if "python -m repro" in span
+    ]
+
 
 PACKAGES = [
     "repro",
@@ -101,6 +125,24 @@ class TestDocsConsistency:
         ).read_text()
         for path in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
             assert path.name in docs, f"{path.name} is undocumented"
+
+    @pytest.mark.parametrize("doc", CLI_DOCS)
+    def test_documented_cli_commands_parse(self, doc):
+        """Every documented command parses, and every preset it runs exists."""
+        from repro.cli import build_parser
+        from repro.scenarios import list_scenarios
+
+        commands = documented_cli_commands((REPO_ROOT / doc).read_text())
+        assert commands, f"{doc} documents no `python -m repro` command"
+        parser = build_parser()
+        presets = set(list_scenarios())
+        for command in commands:
+            try:
+                args = parser.parse_args(shlex.split(command))
+            except SystemExit:
+                pytest.fail(f"{doc}: `python -m repro {command}` does not parse")
+            if args.command == "run" and args.name and not args.name.endswith(".json"):
+                assert args.name in presets, f"{doc}: unknown preset in `{command}`"
 
     def test_examples_exist_and_have_docstrings(self):
         examples = sorted((REPO_ROOT / "examples").glob("*.py"))

@@ -649,20 +649,3 @@ class TestCli:
         err = capsys.readouterr().err
         assert "no timeline recorded" in err
         assert "Traceback" not in err
-
-    def test_fleet_slo_flag(self, capsys):
-        rc = self.run_cli(
-            [
-                "fleet",
-                "--rate",
-                "900",
-                "--requests",
-                "60",
-                "--replicas",
-                "2",
-                "--slo",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "SLO compliance" in out
