@@ -9,7 +9,10 @@ experts per layer.  Strategies:
 * :func:`greedy_placement` — chained per-layer greedy grouping.
 * :func:`ilp_placement` — per-layer-pair optimal assignment via integer
   programming / Hungarian expansion (the paper's formulas 8-12), chained
-  across layers; plus an exact joint formulation for small instances.
+  across layers.
+* :func:`joint_ilp_placement` — the exact optimum of the same objective,
+  by a DP over each layer's balanced assignments; small instances only
+  (E = 8 experts on 4 GPUs, or E = 14 on 2).
 * :func:`staged_placement` — the paper's two-stage topology-aware variant:
   stage 1 minimises inter-node crossings, stage 2 minimises intra-node
   crossings given stage 1 (Section IV-C/D).

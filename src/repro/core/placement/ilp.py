@@ -5,32 +5,40 @@ to load balance (9), exclusive ownership (10) and the crossing indicators
 (11)/(12).  Aggregating identical tokens, the objective depends only on the
 transition-count matrices ``W_j[i, p]`` = tokens moving expert ``i`` (layer
 j) -> expert ``p`` (layer j+1), so the token-level ILP collapses to an
-expert-level quadratic assignment, which we solve two ways:
+expert-level quadratic assignment (:func:`chain_objective`), which we solve
+two ways:
 
-* :func:`joint_ilp_placement` — the faithful joint formulation via
-  ``scipy.optimize.milp`` (HiGHS) with the standard linearisation of the
-  same-GPU product terms.  Exact, but the variable count grows as
-  ``L * E^2 * G`` — intended for small instances and for validating the
-  scalable solver below.
+* :func:`joint_ilp_placement` — the exact optimum.  The objective couples
+  only adjacent layers, so a Viterbi DP over each layer's balanced
+  assignments (K = E! / (cap!^G) states) solves it exactly in one pass.
+  The per-pair score table holds K^2 floats, so K is capped at
+  ``MAX_JOINT_STATES``: the largest instances covered are E = 8 experts on
+  G = 4 GPUs (K = 2,520, ~51 MiB peak) and E = 14 on G = 2 (K = 3,432,
+  ~93 MiB peak).  Larger instances raise ``ValueError``.
 * :func:`ilp_placement` — layer-chained exact assignments: given layer
   ``j``'s placement, the optimal layer ``j+1`` assignment under capacity
   constraints is a transportation problem, solved *exactly* by expanding
   each GPU into ``C`` slots and running the Hungarian algorithm
   (``scipy.optimize.linear_sum_assignment``).  Coordinate-descent sweeps
-  (re-solving each layer against both fixed neighbours) then recover most
-  of the gap to the joint optimum; the ablation bench quantifies it.
+  (re-solving each layer against both fixed neighbours) then close part
+  of the gap to the joint optimum; the ablation bench measures what is
+  left.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import LinearConstraint, linear_sum_assignment, milp
-from scipy.optimize import Bounds
+from scipy.optimize import linear_sum_assignment
 
 from repro.core.placement.base import Placement
 from repro.trace.events import RoutingTrace
 
 __all__ = ["assignment_solve", "ilp_placement", "joint_ilp_placement", "chain_objective"]
+
+#: Largest per-layer state count K the exact joint solver accepts.
+MAX_JOINT_STATES = 4096
 
 
 def assignment_solve(benefit: np.ndarray, num_groups: int) -> np.ndarray:
@@ -184,110 +192,62 @@ def _outgoing_benefit(w: np.ndarray, next_groups: np.ndarray, g: int) -> np.ndar
     return benefit
 
 
-def joint_ilp_placement(
-    trace: RoutingTrace,
-    num_gpus: int,
-    time_limit_s: float = 30.0,
-) -> Placement:
-    """Exact joint ILP over all layers (formulas 8-12 via HiGHS).
+def _balanced_states(e: int, g: int) -> np.ndarray:
+    """Every balanced assignment of ``e`` experts to ``g`` groups, (K, e).
 
-    Variables: binary ``x[j, i, p]`` (expert i of layer j on GPU p) and
-    continuous ``y[j, i, i', p]`` in [0, 1] linearising the same-GPU product
-    ``x[j, i, p] * x[j+1, i', p]``; the objective maximises kept mass
-    ``sum w_j[i, i'] * y`` (equivalent to minimising formula 8's crossing
-    count).  Only pairs with non-zero weight get y variables, which keeps
-    realistic instances small (affinity makes W sparse).
-
-    Raises ``RuntimeError`` if HiGHS fails to produce a feasible solution
-    within the time limit.
+    Rows come in lexicographic order, one expert at a time: each row is
+    extended by every group that still has room.
     """
-    e, L, g = trace.num_experts, trace.num_layers, num_gpus
+    cap = e // g
+    states = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(e):
+        counts = (states[:, :, None] == np.arange(g)).sum(axis=1)
+        rows, groups = np.nonzero(counts < cap)
+        states = np.column_stack([states[rows], groups])
+    return states
+
+
+def joint_ilp_placement(trace: RoutingTrace, num_gpus: int) -> Placement:
+    """Exact optimum of formulas 8-12 by a Viterbi DP over the layer chain.
+
+    The kept mass ``chain_objective`` only couples adjacent layers, so its
+    maximum is a best-path problem whose states are a layer's balanced
+    assignments: K = E! / (cap!^G) of them.  Each layer pair is scored with
+    one matmul over one-hot states and argmax backpointers recover the
+    chain.  Layer 0 is restricted to canonical labels (groups numbered in
+    order of first occurrence), which drops the G! relabelled copies of
+    every solution.
+
+    Raises ``ValueError`` when K exceeds ``MAX_JOINT_STATES``: the score
+    table holds K^2 floats per layer pair.
+    """
+    e, g = trace.num_experts, num_gpus
     if e % g != 0:
         raise ValueError(f"{e} experts not divisible across {g} GPUs")
-    cap = e // g
-    weights = _transition_weights(trace)
-
-    num_x = L * e * g
-
-    def xid(j: int, i: int, p: int) -> int:
-        return (j * e + i) * g + p
-
-    # enumerate y variables only for observed transitions
-    y_index: dict[tuple[int, int, int, int], int] = {}
-    y_weight: list[float] = []
-    for j, w in enumerate(weights):
-        src, dst = np.nonzero(w)
-        for i, ip in zip(src.tolist(), dst.tolist(), strict=True):
-            for p in range(g):
-                y_index[(j, i, ip, p)] = num_x + len(y_weight)
-                y_weight.append(float(w[i, ip]))
-
-    n_vars = num_x + len(y_weight)
-    c = np.zeros(n_vars)
-    for idx in y_index.values():
-        c[idx] = -y_weight[idx - num_x]  # milp minimises; negate to maximise
-
-    rows_a: list[int] = []
-    cols_a: list[int] = []
-    vals_a: list[float] = []
-    lb: list[float] = []
-    ub: list[float] = []
-    row = 0
-
-    def add_entry(r: int, col: int, val: float) -> None:
-        rows_a.append(r)
-        cols_a.append(col)
-        vals_a.append(val)
-
-    # (10) each expert on exactly one GPU
-    for j in range(L):
-        for i in range(e):
-            for p in range(g):
-                add_entry(row, xid(j, i, p), 1.0)
-            lb.append(1.0)
-            ub.append(1.0)
-            row += 1
-
-    # (9) load balance: each GPU holds exactly cap experts per layer
-    for j in range(L):
-        for p in range(g):
-            for i in range(e):
-                add_entry(row, xid(j, i, p), 1.0)
-            lb.append(float(cap))
-            ub.append(float(cap))
-            row += 1
-
-    # linearisation: y <= x_src, y <= x_dst
-    for (j, i, ip, p), idx in y_index.items():
-        add_entry(row, idx, 1.0)
-        add_entry(row, xid(j, i, p), -1.0)
-        lb.append(-np.inf)
-        ub.append(0.0)
-        row += 1
-        add_entry(row, idx, 1.0)
-        add_entry(row, xid(j + 1, ip, p), -1.0)
-        lb.append(-np.inf)
-        ub.append(0.0)
-        row += 1
-
-    from scipy.sparse import csr_matrix
-
-    a = csr_matrix((vals_a, (rows_a, cols_a)), shape=(row, n_vars))
-    constraint = LinearConstraint(a, np.asarray(lb), np.asarray(ub))
-    integrality = np.zeros(n_vars)
-    integrality[:num_x] = 1  # x binary; y continuous (integral at optimum)
-    bounds = Bounds(np.zeros(n_vars), np.ones(n_vars))
-
-    res = milp(
-        c=c,
-        constraints=constraint,
-        integrality=integrality,
-        bounds=bounds,
-        options={"time_limit": time_limit_s, "presolve": True},
-    )
-    if res.x is None:
-        raise RuntimeError(f"joint ILP failed: {res.message}")
-
-    x = res.x[:num_x].reshape(L, e, g)
-    gpu_of = x.argmax(axis=2).astype(np.int64)
-    return Placement(gpu_of, g, strategy="ilp-joint")
+    k = math.factorial(e) // math.factorial(e // g) ** g
+    if k > MAX_JOINT_STATES:
+        raise ValueError(
+            f"ilp-joint: K={k} balanced assignments of E={e} experts to G={g} GPUs "
+            f"exceed the exact solver's limit of {MAX_JOINT_STATES}; use 'ilp' or 'staged'"
+        )
+    states = _balanced_states(e, g)
+    onehot = (states[:, :, None] == np.arange(g)).astype(np.float64)  # (K, E, G)
+    flat = onehot.reshape(k, e * g)
+    # canonical: groups numbered in order of first occurrence
+    first = np.maximum.accumulate(states, axis=1)
+    canonical = (first[:, 0] == 0) & (np.diff(first, axis=1) <= 1).all(axis=1)
+    best = np.where(canonical, 0.0, -np.inf)
+    score = np.empty((k, k))  # score[b, a]: best chain through a, then a -> b
+    back: list[np.ndarray] = []
+    for w in _transition_weights(trace):
+        # into[a, p, q] = mass into expert p from experts on group q (state a)
+        into = (w.T @ onehot).reshape(k, e * g)
+        np.matmul(flat, into.T, out=score)
+        score += best
+        arg = score.argmax(axis=1)
+        best = score[np.arange(k), arg]
+        back.append(arg)
+    path = [int(best.argmax())]
+    for arg in reversed(back):
+        path.append(int(arg[path[-1]]))
+    return Placement(states[path[::-1]], g, strategy="ilp-joint")

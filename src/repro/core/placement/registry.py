@@ -39,7 +39,7 @@ def solve_placement(
     ``vanilla`` ignores the trace (affinity-blind baseline); ``staged`` uses
     the cluster's node hierarchy; the rest operate at GPU granularity.
     Extra ``kwargs`` are forwarded to the underlying solver (e.g.
-    ``sweeps`` for the chained ILP, ``time_limit_s`` for the joint ILP).
+    ``sweeps`` for the chained ILP); the exact joint solver takes none.
     """
     g = cluster.num_gpus
     if strategy == "vanilla":

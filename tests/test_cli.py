@@ -249,6 +249,19 @@ class TestPlace:
         assert placement.num_gpus == 8
         assert "same-GPU" in capsys.readouterr().out
 
+    def test_joint_solver_rejects_oversized_instance(self, tmp_path, capsys):
+        """32 experts on 4 GPUs is far past the exact solver's state limit:
+        one error line naming K, not a long solve."""
+        trace_path = tmp_path / "trace.npz"
+        main(["profile", "--model", "gpt-m-350m-e32", "--tokens", "100", "--out", str(trace_path)])
+        capsys.readouterr()
+        argv = ["place", "--trace", str(trace_path), "--nodes", "1", "--gpus-per-node", "4"]
+        assert main([*argv, "--strategy", "ilp-joint"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ilp-joint: K=")
+        assert "E=32 experts to G=4 GPUs" in err
+        assert err.count("\n") == 1
+
 
 class TestHeatmap:
     def test_renders(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -131,18 +133,68 @@ class TestILPChain:
 
 class TestJointILP:
     def test_matches_or_beats_chain(self):
-        """On a small instance the joint ILP is exact: its objective must be
-        >= the chained solver's."""
+        """The DP is exact, so its objective is >= the chained solver's.
+        Integer counts sum exactly, so no tolerance is needed."""
         model = MarkovRoutingModel.with_affinity(4, 3, 0.8, rng=np.random.default_rng(3))
         trace = model.sample(500, np.random.default_rng(4))
         w = _weights(trace)
         joint = joint_ilp_placement(trace, num_gpus=2)
         chain = ilp_placement(trace, num_gpus=2)
-        assert chain_objective(joint.gpu_of, w) >= chain_objective(chain.gpu_of, w) - 1e-6
+        assert chain_objective(joint.gpu_of, w) >= chain_objective(chain.gpu_of, w)
 
     def test_perfect_chain_instance(self, chain_trace):
         p = joint_ilp_placement(chain_trace, num_gpus=2)
         assert placement_locality(p, chain_trace).gpu_stay_fraction == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        ("e", "g", "layers", "seed"),
+        [*[(4, 2, 3, s) for s in range(5)], (6, 3, 2, 0), (4, 4, 3, 1)],
+    )
+    def test_equals_brute_force(self, e, g, layers, seed):
+        """Enumerating every per-layer assignment finds the same optimum."""
+        model = MarkovRoutingModel.with_affinity(e, layers, 0.7, rng=np.random.default_rng(seed))
+        trace = model.sample(300, np.random.default_rng(seed + 100))
+        w = _weights(trace)
+        balanced = set(itertools.permutations(np.repeat(np.arange(g), e // g)))
+        best = max(
+            chain_objective(np.array(gpu_of), w)
+            for gpu_of in itertools.product(sorted(balanced), repeat=layers)
+        )
+        assert chain_objective(joint_ilp_placement(trace, num_gpus=g).gpu_of, w) == best
+
+    @pytest.mark.parametrize(("e", "g", "k"), [(16, 4, 63_063_000), (8, 8, 40_320)])
+    def test_too_many_states_rejected(self, e, g, k):
+        trace = RoutingTrace(np.zeros((4, 2), dtype=np.int64), num_experts=e)
+        with pytest.raises(ValueError, match=f"K={k} .* E={e} experts to G={g} GPUs"):
+            joint_ilp_placement(trace, num_gpus=g)
+
+    def test_indivisible_rejected(self, affinity_trace):
+        with pytest.raises(ValueError, match="not divisible"):
+            joint_ilp_placement(affinity_trace, num_gpus=3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        # (experts, GPUs, nodes), K from 6 up to 2,520
+        shape=st.sampled_from(
+            [(4, 2, 1), (4, 2, 2), (4, 4, 2), (6, 2, 2), (6, 3, 1), (6, 6, 3), (8, 2, 1), (8, 4, 2)]
+        ),
+        layers=st.integers(2, 4),
+        affinity=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(shape=(8, 4, 2), layers=4, affinity=0.8, seed=0)  # the largest K
+    def test_at_least_every_registered_solver(self, shape, layers, affinity, seed):
+        e, g, nodes = shape
+        model = MarkovRoutingModel.with_affinity(
+            e, layers, affinity, rng=np.random.default_rng(seed)
+        )
+        trace = model.sample(200, np.random.default_rng(seed + 1))
+        cluster = ClusterConfig(num_nodes=nodes, gpus_per_node=g // nodes)
+        w = _weights(trace)
+        best = chain_objective(solve_placement("ilp-joint", trace, cluster).gpu_of, w)
+        for strategy in SOLVERS:
+            p = solve_placement(strategy, trace, cluster)
+            assert best >= chain_objective(p.gpu_of, w) - 1e-9, strategy
 
 
 class TestGreedy:

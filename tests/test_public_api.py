@@ -97,8 +97,7 @@ class TestSolverRegistry:
         )
         cluster = ClusterConfig(num_nodes=1, gpus_per_node=2)
         for strategy in SOLVERS:
-            kwargs = {"time_limit_s": 5.0} if strategy == "ilp-joint" else {}
-            p = solve_placement(strategy, trace, cluster, **kwargs)
+            p = solve_placement(strategy, trace, cluster)
             assert p.num_gpus == 2
 
 
