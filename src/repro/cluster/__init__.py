@@ -3,7 +3,7 @@
 This package replaces the paper's physical testbed (multi-node A100 servers
 with NVLink and InfiniBand) with an explicit model:
 
-* :mod:`repro.cluster.topology` — the hardware graph: GPUs grouped into
+* :mod:`repro.cluster.topology` — the hardware hierarchy: GPUs grouped into
   nodes, nodes joined by an inter-node fabric, with per-tier
   :class:`~repro.config.LinkSpec` performance.
 * :mod:`repro.cluster.collectives` — cost models and data-movement

@@ -1,15 +1,15 @@
-"""Hardware topology graph for the simulated cluster.
+"""Hardware topology of the simulated cluster.
 
 The topology mirrors the paper's Wilkes3 testbed structure: GPUs are leaves,
 grouped under node switches (NVLink domains), which hang off a single
 cluster fabric (InfiniBand).  A :class:`Topology` wraps a
 :class:`~repro.config.ClusterConfig` with:
 
-* a :mod:`networkx` graph (useful for visualisation and path queries),
-* vectorised tier / distance matrices used on hot paths, and
-* helpers mapping GPU ranks to nodes and link tiers.
+* vectorised tier / distance matrices used on hot paths,
+* helpers mapping GPU ranks to nodes and link tiers, and
+* a switch-hop path query for inspection (:meth:`Topology.hop_path`).
 
-Communication cost never walks the graph at simulation time — the tier
+Communication cost never walks switch paths at simulation time — the tier
 matrix is precomputed so collectives can classify a whole Alltoall traffic
 matrix with pure numpy indexing.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from repro.config import ClusterConfig, LinkSpec
@@ -50,8 +49,8 @@ class Topology:
 
     Notes
     -----
-    The heavy artefacts (tier matrix, node-of vector, graph) are cached
-    properties — built once on first use, shared by all consumers.
+    The heavy artefacts (tier matrix, node-of vector, Alltoall rounds) are
+    cached properties — built once on first use, shared by all consumers.
     """
 
     def __init__(self, cluster: ClusterConfig) -> None:
@@ -184,28 +183,21 @@ class Topology:
         tiers = self.tier_matrix
         return {t: float(traffic[tiers == t].sum()) for t in Tier}
 
-    # -- graph view ---------------------------------------------------------
-
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """networkx view: GPU leaves, node switches, one fabric root.
-
-        Edge attribute ``tier`` names the link class; ``link`` carries the
-        :class:`~repro.config.LinkSpec`.  Used for topology-aware debugging
-        and the examples, never on the simulation hot path.
-        """
-        g = nx.Graph()
-        g.add_node("fabric", kind="switch")
-        for node in range(self.num_nodes):
-            sw = f"node{node}"
-            g.add_node(sw, kind="node")
-            g.add_edge(sw, "fabric", tier="inter", link=self.cluster.inter_link)
-            for gpu in self.cluster.gpus_of_node(node):
-                leaf = f"gpu{gpu}"
-                g.add_node(leaf, kind="gpu", rank=gpu, node=node)
-                g.add_edge(leaf, sw, tier="intra", link=self.cluster.intra_link)
-        return g
+    # -- inspection ---------------------------------------------------------
 
     def hop_path(self, gpu_a: int, gpu_b: int) -> list[str]:
-        """Graph path between two GPU leaves (for inspection)."""
-        return nx.shortest_path(self.graph, f"gpu{gpu_a}", f"gpu{gpu_b}")
+        """Switch hops from ``gpu_a`` to ``gpu_b``, endpoints included.
+
+        GPUs hang off their node switch, node switches off one fabric root:
+        ``gpu -> node switch -> [fabric -> node switch] -> gpu``.
+        """
+        for gpu in (gpu_a, gpu_b):
+            if not 0 <= gpu < self.num_gpus:
+                raise ValueError(f"GPU rank {gpu} outside [0, {self.num_gpus})")
+        if gpu_a == gpu_b:
+            return [f"gpu{gpu_a}"]
+        node_a, node_b = int(self.node_of_gpu[gpu_a]), int(self.node_of_gpu[gpu_b])
+        switches = [f"node{node_a}"]
+        if node_a != node_b:
+            switches += ["fabric", f"node{node_b}"]
+        return [f"gpu{gpu_a}", *switches, f"gpu{gpu_b}"]

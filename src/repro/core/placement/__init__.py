@@ -7,9 +7,10 @@ experts per layer.  Strategies:
 * :func:`vanilla_placement` — DeepSpeed-MoE's rank-contiguous layout (the
   baseline in every figure).
 * :func:`greedy_placement` — chained per-layer greedy grouping.
-* :func:`ilp_placement` — per-layer-pair optimal assignment via integer
-  programming / Hungarian expansion (the paper's formulas 8-12), chained
-  across layers.
+* :func:`ilp_placement` — per-layer-pair optimal assignment (the paper's
+  formulas 8-12): each GPU is expanded into slots and solved exactly by
+  :func:`assignment_solve`, an in-house shortest-augmenting-path solver;
+  chained across layers.
 * :func:`joint_ilp_placement` — the exact optimum of the same objective,
   by a DP over each layer's balanced assignments; small instances only
   (E = 8 experts on 4 GPUs, or E = 14 on 2).

@@ -18,11 +18,12 @@ two ways:
 * :func:`ilp_placement` — layer-chained exact assignments: given layer
   ``j``'s placement, the optimal layer ``j+1`` assignment under capacity
   constraints is a transportation problem, solved *exactly* by expanding
-  each GPU into ``C`` slots and running the Hungarian algorithm
-  (``scipy.optimize.linear_sum_assignment``).  Coordinate-descent sweeps
-  (re-solving each layer against both fixed neighbours) then close part
-  of the gap to the joint optimum; the ablation bench measures what is
-  left.
+  each GPU into ``C`` slots and running a shortest-augmenting-path
+  assignment (:func:`assignment_solve`, an in-house port of SciPy's
+  ``linear_sum_assignment`` with its tie-breaks, so SciPy is not needed
+  at run time).  Coordinate-descent sweeps (re-solving each layer against
+  both fixed neighbours) then close part of the gap to the joint optimum;
+  the ablation bench measures what is left.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.placement.base import Placement
 from repro.trace.events import RoutingTrace
@@ -46,23 +46,115 @@ def assignment_solve(benefit: np.ndarray, num_groups: int) -> np.ndarray:
 
     ``benefit[i, p]`` is the affinity mass gained by putting expert ``i``
     on group (GPU or node) ``p``; every group must take exactly
-    ``E / num_groups`` experts.  Solved exactly by slot expansion + the
-    Hungarian algorithm.  Returns (E,) group index per expert.
+    ``E / num_groups`` experts.  Solved exactly by expanding each group
+    into ``cap`` slots and running :func:`_slot_assignment` on the square
+    problem.  Returns (E,) group index per expert.
     """
     benefit = np.asarray(benefit, dtype=np.float64)
     e, p = benefit.shape
-    if p != num_groups:
-        raise ValueError(f"benefit has {p} columns, expected {num_groups}")
+    if p != num_groups or num_groups < 1:
+        raise ValueError(f"benefit has {p} columns, expected {num_groups} >= 1")
     if e % num_groups != 0:
         raise ValueError(f"{e} experts not divisible into {num_groups} groups")
+    if not np.isfinite(benefit).all():
+        raise ValueError("benefit must be finite (no NaN or inf entries)")
     cap = e // num_groups
-    # expand each group into `cap` identical slots -> square assignment
-    expanded = np.repeat(benefit, cap, axis=1)  # (E, E)
-    rows, cols = linear_sum_assignment(expanded, maximize=True)
-    groups = cols // cap
-    out = np.empty(e, dtype=np.int64)
-    out[rows] = groups
-    return out
+    slots = _slot_assignment((-benefit).tolist(), cap)
+    return np.array([j // cap for j in slots], dtype=np.int64)
+
+
+def _slot_assignment(cost: list[list[float]], cap: int) -> list[int]:
+    """Min-cost assignment of ``E`` rows to ``E`` slots; ``cost[i][j // cap]``.
+
+    Slot ``j`` belongs to group ``j // cap``.  Returns the slot of each row.
+    This is the shortest-augmenting-path method of Crouse (2016), *On
+    implementing 2D rectangular assignment algorithms*, with the scan
+    order, tie-breaks and dual updates of SciPy's
+    ``linear_sum_assignment``, so the result equals
+    ``linear_sum_assignment(np.repeat(cost, cap, 1))[1]`` exactly, ties
+    included.
+
+    Fast path: while every column dual ``v`` is 0 (and ``u[cur]`` is 0 at
+    the start of its own row), row ``cur``'s first scan sees its raw
+    costs, and the general loop would take the lowest free slot among its
+    minimum-cost groups and stop.  That choice is made per group; the
+    general loop runs, from the same state, only when every minimum-cost
+    group is full.
+    """
+    n = len(cost)
+    u = [0.0] * n
+    v = [0.0] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    path = [-1] * n
+    lowest_free = list(range(0, n, cap))  # per group: no free slot below this
+    ends = list(range(cap, n + cap, cap))
+    duals_zero = True
+    for cur, c in enumerate(cost):
+        if duals_zero:
+            low = min(c)
+            k = c.index(low)
+            while True:
+                j, end = lowest_free[k], ends[k]
+                while j < end and row4col[j] != -1:
+                    j += 1
+                lowest_free[k] = j
+                if j < end or low not in c[k + 1 :]:
+                    break
+                k = c.index(low, k + 1)
+            if j < end:
+                u[cur] += low
+                row4col[j] = cur
+                col4row[cur] = j
+                continue
+
+        # general step: one shortest augmenting path from row `cur`
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        visited_rows: list[int] = []
+        visited_cols: list[int] = []
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            ci, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it in range(len(remaining)):
+                j = remaining[it]
+                r = min_val + ci[j // cap] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                s = shortest[j]
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        duals_zero = not any(v)
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def chain_objective(gpu_of: np.ndarray, weights: list[np.ndarray]) -> float:

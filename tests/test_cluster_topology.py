@@ -95,10 +95,6 @@ class TestNodeGroups:
 
 
 class TestGraph:
-    def test_leaf_count(self, topo):
-        gpus = [n for n, d in topo.graph.nodes(data=True) if d.get("kind") == "gpu"]
-        assert len(gpus) == 4
-
     def test_intra_path_length(self, topo):
         # same node: gpu -> node switch -> gpu
         assert len(topo.hop_path(0, 1)) == 3
@@ -106,3 +102,11 @@ class TestGraph:
     def test_inter_path_length(self, topo):
         # cross node: gpu -> node -> fabric -> node -> gpu
         assert len(topo.hop_path(0, 3)) == 5
+
+    def test_path_names(self, topo):
+        assert topo.hop_path(1, 2) == ["gpu1", "node0", "fabric", "node1", "gpu2"]
+        assert topo.hop_path(2, 2) == ["gpu2"]
+
+    def test_rank_out_of_range_rejected(self, topo):
+        with pytest.raises(ValueError, match="GPU rank"):
+            topo.hop_path(0, 4)

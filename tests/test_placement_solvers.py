@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from repro.config import ClusterConfig
 from repro.core.placement.base import Placement, placement_locality
 from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.ilp import (
+    _slot_assignment,
     assignment_solve,
     chain_objective,
     ilp_placement,
@@ -78,6 +81,64 @@ class TestAssignmentSolve:
             assignment_solve(np.zeros((4, 3)), 2)
         with pytest.raises(ValueError):
             assignment_solve(np.zeros((5, 2)), 2)
+        with pytest.raises(ValueError):
+            assignment_solve(np.zeros((4, 0)), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        benefit = np.ones((4, 2))
+        benefit[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            assignment_solve(benefit, 2)
+
+
+@st.composite
+def tie_heavy_benefits(draw):
+    """(benefit, G): small-range integers or rounded floats, so ties are
+    common, or wide floats for non-trivial dual updates; some rows forced
+    to all-zero, of either sign."""
+    g = draw(st.integers(1, 8))
+    cap = draw(st.integers(1, 8))
+    e = g * cap
+    cell = draw(
+        st.sampled_from(
+            [
+                st.integers(-2, 3).map(float),
+                st.floats(-4, 4).map(lambda x: round(x, 1)),
+                st.sampled_from([0.0, -0.0, 1.0]),
+                st.floats(-1e3, 1e3),
+            ]
+        )
+    )
+    benefit = draw(arrays(np.float64, (e, g), elements=cell))
+    zero_rows = draw(st.lists(st.integers(0, e - 1), max_size=3))
+    benefit[zero_rows] = draw(st.sampled_from([0.0, -0.0]))
+    return benefit, g
+
+
+class TestAssignmentSolveMatchesScipy:
+    """The in-house solver returns exactly what SciPy's
+    ``linear_sum_assignment`` returns on the slot-expanded matrix, ties
+    included: placements and the perf digests depend on its tie-breaks.
+    SciPy is the test oracle only; the library does not import it."""
+
+    @staticmethod
+    def scipy_slots(benefit: np.ndarray, cap: int) -> list[int]:
+        rows, cols = linear_sum_assignment(np.repeat(benefit, cap, axis=1), maximize=True)
+        assert rows.tolist() == list(range(benefit.shape[0]))
+        return cols.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_benefits())
+    @example((np.zeros((16, 2)), 2))
+    @example((np.full((8, 4), -0.0), 4))
+    @example((np.eye(6)[:, :3] + np.eye(6)[:, 3:], 3))
+    def test_equals_linear_sum_assignment(self, case):
+        benefit, g = case
+        cap = benefit.shape[0] // g
+        expected = self.scipy_slots(benefit, cap)
+        assert _slot_assignment((-benefit).tolist(), cap) == expected
+        assert assignment_solve(benefit, g).tolist() == [j // cap for j in expected]
 
 
 class TestChainObjective:
