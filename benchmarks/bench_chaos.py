@@ -39,7 +39,7 @@ def _arms(smoke: bool):
     """The two scenario arms: identical bad day, autoscaling on/off."""
     autoscaled = fleet_bad_day(autoscale=True, smoke=smoke)
     static = fleet_bad_day(autoscale=False, smoke=smoke)
-    assert autoscaled.chaos == static.chaos  # same faults, by construction
+    assert autoscaled.fleet.chaos == static.fleet.chaos  # same faults, by construction
     assert autoscaled.serving == static.serving
     return {"autoscaled": autoscaled, "static": static}
 

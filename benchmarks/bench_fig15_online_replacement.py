@@ -73,8 +73,8 @@ def run(smoke: bool = False) -> tuple[str, dict]:
         rows.append(
             [
                 drift,
-                f"{static.serving.latency.p95_s * 1e3:.2f}",
-                f"{online.serving.latency.p95_s * 1e3:.2f}",
+                f"{static.latency.p95_s * 1e3:.2f}",
+                f"{online.latency.p95_s * 1e3:.2f}",
                 f"{kept_before:.1%}",
                 f"{static_after:.1%}",
                 f"{online_after:.1%}",
@@ -122,8 +122,8 @@ def _assert_claims(checks: dict) -> None:
     for drift, c in checks.items():
         static, online, serving = c["static"], c["online"], c["serving"]
         # both arms serve every request; the static arm never migrates
-        assert len(static.serving.completed) == serving.num_requests, drift
-        assert len(online.serving.completed) == serving.num_requests, drift
+        assert len(static.completed) == serving.num_requests, drift
+        assert len(online.completed) == serving.num_requests, drift
         assert static.num_replacements == 0 and static.migration_stall_s == 0.0
         # every migration is accounted: events carry positive stalls that sum
         # to the timeline charge the latency percentiles already include

@@ -11,8 +11,9 @@ Model Inference" (Yao et al.), rebuilt as a self-contained simulation stack:
   ILP-based expert placement, context coherence, the ExFlow facade.
 * :mod:`repro.engine` — distributed inference simulation + comparisons.
 * :mod:`repro.fleet` — multi-replica serving: router, admission, autoscaler.
-* :mod:`repro.obs` — observability: metric timelines, Chrome-trace export,
-  simulator self-profiling (attach via ``Scenario.telemetry``).
+* :mod:`repro.obs` — observability: metric timelines, Chrome-trace export
+  (attach via ``Scenario.telemetry``), simulator self-profiling
+  (``run(..., profiler=PhaseProfiler())``).
 * :mod:`repro.training` — affinity/balance dynamics during training.
 * :mod:`repro.analysis` — heatmaps, Table I formulas, report formatting.
 * :mod:`repro.scenarios` — the front door: declarative :class:`Scenario`
@@ -97,9 +98,7 @@ from repro.engine import (
     CostModel,
     DecodeWorkload,
     LatencyStats,
-    OnlineServingResult,
     RunResult,
-    ServingResult,
     compare_modes,
     make_arrivals,
     make_decode_workload,
@@ -110,6 +109,7 @@ from repro.engine import (
 from repro.fleet import (
     FleetRequest,
     FleetResult,
+    OnlineServingResult,
     flash_crowd_arrivals,
     make_router,
 )
@@ -189,9 +189,7 @@ __all__ = [
     "CostModel",
     "DecodeWorkload",
     "LatencyStats",
-    "OnlineServingResult",
     "RunResult",
-    "ServingResult",
     "compare_modes",
     "make_arrivals",
     "make_decode_workload",
@@ -201,6 +199,7 @@ __all__ = [
     # fleet
     "FleetRequest",
     "FleetResult",
+    "OnlineServingResult",
     "flash_crowd_arrivals",
     "make_router",
     # model

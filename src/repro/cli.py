@@ -38,6 +38,7 @@ from repro.core.affinity import affinity_matrix, scaled_affinity
 from repro.core.placement.base import placement_locality
 from repro.core.placement.registry import SOLVERS, solve_placement
 from repro.engine.comparison import ComparisonRow
+from repro.fleet.result import OnlineServingResult
 from repro.obs.export import openmetrics_text
 from repro.obs.recorder import TimelineRecorder
 from repro.scenarios import (
@@ -216,75 +217,11 @@ def _print_batch_rows(rows: dict[str, ComparisonRow], title: str) -> None:
     )
 
 
-def _print_serving_result(res: Any, label: str, title: str) -> None:
+def _print_fleet_result(scenario: Scenario, res: Any, title: str) -> None:
+    """The tables of a serving, online or fleet run; ``res`` is its FleetResult."""
     rows = [
         [
-            label,
-            len(res.completed),
-            res.latency.p50_s * 1e3,
-            res.latency.p95_s * 1e3,
-            res.latency.p99_s * 1e3,
-            res.throughput_tokens_per_s,
-            res.mean_batch_size,
-            res.utilization,
-        ]
-    ]
-    print(
-        format_table(
-            [
-                "arrival",
-                "served",
-                "p50 ms",
-                "p95 ms",
-                "p99 ms",
-                "tokens/s",
-                "mean batch",
-                "util",
-            ],
-            rows,
-            title=title,
-        )
-    )
-
-
-def _print_online_events(online: Any, drift_label: str, had_policy: bool) -> None:
-    timeline = online.kept_timeline
-    res = online.serving
-    print(
-        f"drift={drift_label}: kept transition mass "
-        f"{timeline[0].true_kept:.1%} -> {timeline[-1].true_kept:.1%} "
-        f"over {res.decode_steps} steps"
-    )
-    if online.events:
-        event_rows = [
-            [
-                e.step,
-                f"{e.kept_before:.1%}",
-                f"{e.kept_after:.1%}",
-                e.moved_experts,
-                e.stall_s * 1e3,
-                "forced" if e.forced else "drop",
-            ]
-            for e in online.events
-        ]
-        print(
-            format_table(
-                ["step", "kept before", "kept after", "moved", "stall ms", "trigger"],
-                event_rows,
-                title=(
-                    "online re-placements — total stall "
-                    f"{online.migration_stall_s * 1e3:.3f} ms"
-                ),
-            )
-        )
-    elif had_policy:
-        print("online re-placement enabled: no migration was triggered")
-
-
-def _print_fleet_result(res: Any, router_label: str, title: str) -> None:
-    rows = [
-        [
-            router_label,
+            scenario.fleet.router if scenario.fleet is not None else "single replica",
             res.served,
             len(res.shed),
             f"{res.shed_fraction:.2%}",
@@ -392,6 +329,36 @@ def _print_fleet_result(res: Any, router_label: str, title: str) -> None:
             f"goodput {res.goodput_rps:.1f} req/s, "
             f"mean time-to-recover {res.mean_time_to_recover_s * 1e3:.2f} ms"
         )
+    if not isinstance(res, OnlineServingResult):
+        return
+    timeline = res.kept_timeline
+    drift_label = scenario.drift.kind if scenario.drift is not None else "none"
+    print(
+        f"drift={drift_label}: kept transition mass "
+        f"{timeline[0].true_kept:.1%} -> {timeline[-1].true_kept:.1%} "
+        f"over {res.replicas[0].decode_steps} steps"
+    )
+    if res.events:
+        event_rows = [
+            [
+                e.step,
+                f"{e.kept_before:.1%}",
+                f"{e.kept_after:.1%}",
+                e.moved_experts,
+                e.stall_s * 1e3,
+                "forced" if e.forced else "drop",
+            ]
+            for e in res.events
+        ]
+        print(
+            format_table(
+                ["step", "kept before", "kept after", "moved", "stall ms", "trigger"],
+                event_rows,
+                title=f"online re-placements — total stall {res.migration_stall_s * 1e3:.3f} ms",
+            )
+        )
+    elif scenario.replacement is not None:
+        print("online re-placement enabled: no migration was triggered")
 
 
 def _print_slo_summary(
@@ -514,14 +481,8 @@ def _print_report(scenario: Scenario, report: SimReport) -> None:
     )
     if report.kind == "batch":
         _print_batch_rows(report.raw, base_title)
-    elif report.kind == "serving":
-        _print_serving_result(report.raw, scenario.serving.arrival, base_title)
-    elif report.kind == "online":
-        _print_serving_result(report.raw.serving, scenario.serving.arrival, base_title)
-        drift_label = scenario.drift.kind if scenario.drift else "none"
-        _print_online_events(report.raw, drift_label, scenario.replacement is not None)
     else:
-        _print_fleet_result(report.raw, scenario.fleet.router, base_title)
+        _print_fleet_result(scenario, report.raw, base_title)
     if report.slo:
         _print_slo_summary(report.slo, report.alerts, report.detection)
     print(
@@ -556,13 +517,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = get_scenario(args.name)
     recorder = None
     if args.trace or args.metrics:
-        if scenario.kind == "batch":
-            print(
-                "error: --trace/--metrics record serving, online and fleet "
-                "scenarios, not kind 'batch'",
-                file=sys.stderr,
-            )
-            return 2
         recorder = (
             make_recorder(scenario)
             if scenario.telemetry is not None
@@ -744,8 +698,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                     "model": s.model.name,
                     "gpus": s.cluster.num_gpus,
                     "smoke": name.endswith("-smoke"),
-                    "chaos": s.chaos is not None
-                    or (s.fleet is not None and s.fleet.chaos is not None),
+                    "chaos": s.fleet is not None and s.fleet.chaos is not None,
                     "description": s.description,
                 }
             )

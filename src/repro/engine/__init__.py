@@ -19,9 +19,9 @@ per-layer traffic matrices, prices them with
 Two executors share one contract: the vectorized batched engine in
 :mod:`repro.engine.executor` (the fast default) and the step-by-step loop
 oracle in :mod:`repro.engine.reference` (kept for equivalence testing).
-On top of the batch engine, :mod:`repro.engine.serving` adds request-level
-serving: Poisson/bursty arrivals, continuous batching and tail-latency
-metrics.
+On top of the batch engine, :mod:`repro.engine.serving` adds what
+request-level serving needs: Poisson/bursty arrivals and the step pricers
+the fleet engines (:mod:`repro.fleet`) run continuous batching with.
 """
 
 from repro.engine.costs import CostModel
@@ -41,7 +41,6 @@ from repro.engine.reference import simulate_inference_reference
 from repro.engine.comparison import compare_modes, ComparisonRow
 from repro.engine.serving import (
     Request,
-    ServingResult,
     make_arrivals,
     poisson_arrivals,
     bursty_arrivals,
@@ -49,7 +48,6 @@ from repro.engine.serving import (
     engine_step_time,
     PlacementStepTimer,
     KeptSample,
-    OnlineServingResult,
 )
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "compare_modes",
     "ComparisonRow",
     "Request",
-    "ServingResult",
     "make_arrivals",
     "poisson_arrivals",
     "bursty_arrivals",
@@ -79,5 +76,4 @@ __all__ = [
     "engine_step_time",
     "PlacementStepTimer",
     "KeptSample",
-    "OnlineServingResult",
 ]

@@ -18,27 +18,23 @@ Three pieces compose:
   model rather than a made-up constant.  Drifting routing and live
   re-placement need a per-step price instead: :class:`PlacementStepTimer`
   prices each step from its sampled routing under the current placement.
-* **Continuous batching** — :func:`_simulate_serving` serves requests as a
-  one-replica fleet on the tick engine (:mod:`repro.fleet.engine`), the
-  iteration-level scheduler production MoE servers run: one decode batch;
-  waiting requests join at step boundaries whenever a slot is free, and
-  finished requests leave immediately.
+* **Online tracking** — :func:`_simulate_online_serving` runs a
+  one-replica fleet engine (:mod:`repro.fleet.engine`) with a
+  :class:`PlacementStepTimer` under drifting routing and tees a kept-mass
+  tracker into its hook stream, so the result also carries the kept-mass
+  timeline, the re-placement events and the final placement.
 
-:func:`_simulate_cluster_serving` wires a curve-priced run from a
-:class:`~repro.config.ServingConfig`.  :func:`_simulate_online_serving`
-runs the adapter with a :class:`PlacementStepTimer` and returns the
-online result (:class:`OnlineServingResult`, kept-mass timeline
-included), and :func:`_simulate_online_cluster_serving` wires it from a
-config.  The public way in to all of them is :func:`repro.run` with a
-``serving`` or ``online`` Scenario; the underscore functions are its
-implementations.
+Continuous batching itself (waiting requests join at step boundaries
+whenever a slot is free, finished requests leave immediately) is the fleet
+engines' replica loop.  The public way in is :func:`repro.run`: a
+``serving`` Scenario runs a curve-priced one-replica fleet, an ``online``
+one goes through :func:`_simulate_online_serving`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -53,30 +49,23 @@ from repro.config import (
     ServingConfig,
     check_dtype_bytes,
 )
-from repro.core.online import ReplacementEvent, ReplacementPolicy, model_kept_mass
+from repro.core.online import ReplacementEvent, model_kept_mass
 from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.costs import CostModel
 from repro.engine.executor import simulate_inference
-from repro.engine.metrics import LatencyStats
-from repro.engine.workload import (
-    DecodeWorkload,
-    DriftScenario,
-    make_decode_workload,
-    make_drift_scenario,
-)
-from repro.obs.profile import PhaseProfiler
+from repro.engine.workload import DecodeWorkload, DriftScenario, make_decode_workload
 from repro.obs.recorder import MetricsRecorder, TeeRecorder
 from repro.trace.events import int64_array
 from repro.trace.markov import MarkovRoutingModel
 
 if TYPE_CHECKING:
-    from repro.fleet.requests import FleetCompleted
+    from repro.fleet.requests import FleetRequest
+    from repro.fleet.result import FleetResult, OnlineServingResult
 
 __all__ = [
     "Request",
-    "ServingResult",
     "poisson_arrivals",
     "bursty_arrivals",
     "make_arrivals",
@@ -84,7 +73,6 @@ __all__ = [
     "engine_step_time",
     "PlacementStepTimer",
     "KeptSample",
-    "OnlineServingResult",
 ]
 
 
@@ -102,40 +90,6 @@ class Request:
             raise ValueError("arrival_s must be >= 0")
         if self.prompt_len <= 0 or self.generate_len <= 0:
             raise ValueError("prompt_len and generate_len must be positive")
-
-
-@dataclass(frozen=True)
-class ServingResult:
-    """Outcome of one continuous-batching serving simulation."""
-
-    completed: tuple[FleetCompleted, ...]
-    latency: LatencyStats
-    queue: LatencyStats
-    makespan_s: float
-    busy_s: float
-    decode_steps: int
-    generated_tokens: int
-    mean_batch_size: float
-
-    @property
-    def throughput_rps(self) -> float:
-        # zero-span runs (no completed requests) have zero throughput, not inf
-        if self.makespan_s <= 0:
-            return 0.0
-        return len(self.completed) / self.makespan_s
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.generated_tokens / self.makespan_s
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the serving span the batch engine was stepping."""
-        if self.makespan_s <= 0:
-            return 0.0
-        return min(1.0, self.busy_s / self.makespan_s)
 
 
 # -- arrival processes --------------------------------------------------------
@@ -326,110 +280,6 @@ def engine_step_time(
         np.asarray(step_seconds, dtype=np.float64),
         routing,
         placement,
-    )
-
-
-def _simulate_cluster_serving(
-    model: ModelConfig,
-    cluster: ClusterConfig,
-    serving: ServingConfig,
-    mode: ExecutionMode = ExecutionMode.EXFLOW,
-    affinity: float = 0.85,
-    placement_strategy: str = "staged",
-    cost_model: CostModel | None = None,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> ServingResult:
-    """End-to-end serving scenario from a :class:`~repro.config.ServingConfig`.
-
-    Calibrates the step-time curve with probes covering the admission cap,
-    draws the configured arrival sequence, and serves it as a curve-priced
-    one-replica fleet (:func:`_simulate_serving`).
-    """
-    g = cluster.num_gpus
-    cap_per_gpu = max(1, -(-serving.max_batch_requests // g))  # ceil div
-    probes = sorted({1, *(p for p in (2, 4, 8) if p < cap_per_gpu), cap_per_gpu})
-    curve = engine_step_time(
-        model,
-        cluster,
-        mode=mode,
-        prompt_len=serving.prompt_len,
-        affinity=affinity,
-        placement_strategy=placement_strategy,
-        probe_requests_per_gpu=probes,
-        cost_model=cost_model,
-        seed=serving.seed,
-    )
-    rng = np.random.default_rng(serving.seed)
-    requests = make_arrivals(serving, rng)
-    return _simulate_serving(
-        requests,
-        model,
-        cluster,
-        curve.routing,
-        curve.placement,
-        curve,
-        max_batch_requests=serving.max_batch_requests,
-        recorder=recorder,
-        profiler=profiler,
-    )
-
-
-def _simulate_serving(
-    requests: Iterable[Request],
-    model: ModelConfig,
-    cluster: ClusterConfig,
-    drift: DriftScenario,
-    placement: Placement,
-    timer: PlacementStepTimer | StepCurve,
-    max_batch_requests: int = 64,
-    policy: ReplacementPolicy | None = None,
-    halflife_tokens: float | None = None,
-    rng: np.random.Generator | None = None,
-    replace_rng: np.random.Generator | None = None,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> ServingResult:
-    """Serve ``requests`` with continuous batching, as a one-replica fleet.
-
-    The tick engine runs ``drift`` as the one regime and ``placement`` as
-    the replica's; infinite SLOs and a queue that holds every request mean
-    nothing is shed.  ``timer`` prices each step (a :class:`StepCurve` from
-    the batch size, a :class:`PlacementStepTimer` from the sampled routing
-    under the *current* placement).  Under ``policy`` the replica migrates
-    experts at step boundaries, stalling every queued and running request.
-    ``rng`` drives the routing draws, ``replace_rng`` the replacer's
-    solver; ``recorder`` and ``profiler`` observe the run.
-    """
-    # imported here: the fleet modules import this one
-    from repro.fleet.engine import simulate_fleet_tick
-    from repro.fleet.requests import FleetRequest
-
-    reqs = [FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len) for q in requests]
-    if not reqs:
-        empty = LatencyStats.from_samples([])
-        return ServingResult((), empty, empty, 0.0, 0.0, 0, 0, 0.0)
-    fleet = FleetConfig(
-        num_replicas=1, min_replicas=1, max_replicas=1, router="round-robin", num_regimes=1,
-        slo_ms=math.inf, batch_slo_ms=math.inf, max_queue_per_replica=len(reqs),
-        replace=policy is not None, engine="tick",
-    )
-    res = simulate_fleet_tick(
-        reqs, model, cluster, [drift], [placement], fleet,
-        max_batch_requests=max_batch_requests, timer=timer, replace_policy=policy,
-        replace_halflife_tokens=halflife_tokens, rng=rng, replace_rng=replace_rng,
-        recorder=recorder, profiler=profiler,
-    )
-    replica = res.replicas[0]
-    return ServingResult(
-        completed=res.completed,
-        latency=res.latency,
-        queue=res.queue,
-        makespan_s=res.makespan_s,
-        busy_s=replica.busy_s,
-        decode_steps=replica.decode_steps,
-        generated_tokens=res.generated_tokens,
-        mean_batch_size=replica.mean_batch_size,
     )
 
 
@@ -695,21 +545,6 @@ class KeptSample:
     true_kept: float
 
 
-@dataclass(frozen=True)
-class OnlineServingResult:
-    """Outcome of one drift-aware serving simulation."""
-
-    serving: ServingResult
-    events: tuple[ReplacementEvent, ...]
-    kept_timeline: tuple[KeptSample, ...]
-    final_placement: Placement
-    migration_stall_s: float
-
-    @property
-    def num_replacements(self) -> int:
-        return len(self.events)
-
-
 class _KeptMassTracker(MetricsRecorder):
     """Rebuilds the online result's kept-mass timeline from the hook stream.
 
@@ -762,115 +597,39 @@ class _KeptMassTracker(MetricsRecorder):
             self._sample(self.last_step_s)
 
 
+
+
 def _simulate_online_serving(
-    requests: Iterable[Request],
+    engine: Callable[..., FleetResult],
+    requests: Iterable[FleetRequest],
     model: ModelConfig,
     cluster: ClusterConfig,
-    drift: DriftScenario,
-    placement: Placement,
-    mode: ExecutionMode = ExecutionMode.EXFLOW,
-    max_batch_requests: int = 64,
-    policy: ReplacementPolicy | None = None,
-    timer: PlacementStepTimer | None = None,
-    halflife_tokens: float | None = None,
-    rng: np.random.Generator | None = None,
-    replace_rng: np.random.Generator | None = None,
+    regimes: Sequence[DriftScenario],
+    placements: Sequence[Placement],
+    fleet: FleetConfig,
     recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
+    **kwargs: Any,
 ) -> OnlineServingResult:
-    """Continuous batching under drifting routing, with live re-placement.
+    """Run a one-replica fleet ``engine`` with the kept-mass tracker tee'd in.
 
-    :func:`_simulate_serving` with a :class:`PlacementStepTimer` (built for
-    ``mode`` when ``timer`` is None) and the kept-mass tracker tee'd next
-    to ``recorder``.  ``policy=None`` is the static arm.
+    The arguments are the engine's own; the tracker rides next to
+    ``recorder`` and follows ``regimes[0]`` under ``placements[0]`` and
+    every placement the replica migrates to.  Returns the engine's
+    :class:`~repro.fleet.result.FleetResult` extended with the kept-mass
+    timeline, the re-placement events and the final placement.
     """
-    tracker = _KeptMassTracker(drift, placement)
-    serving = _simulate_serving(
-        requests, model, cluster, drift, placement,
-        timer or PlacementStepTimer(model, cluster, mode=mode),
-        max_batch_requests=max_batch_requests, policy=policy,
-        halflife_tokens=halflife_tokens, rng=rng, replace_rng=replace_rng,
+    # imported here: the fleet modules import this one
+    from repro.fleet.result import OnlineServingResult
+
+    tracker = _KeptMassTracker(regimes[0], placements[0])
+    res = engine(
+        requests, model, cluster, regimes, placements, fleet,
         recorder=tracker if recorder is None else TeeRecorder((recorder, tracker)),
-        profiler=profiler,
+        **kwargs,
     )
     return OnlineServingResult(
-        serving=serving,
+        **vars(res),
         events=tuple(tracker.events),
         kept_timeline=tuple(tracker.kept_timeline),
         final_placement=tracker.final_placement,
-        migration_stall_s=sum((e.stall_s for e in tracker.events), 0.0),
-    )
-
-
-def _simulate_online_cluster_serving(
-    model: ModelConfig,
-    cluster: ClusterConfig,
-    serving: ServingConfig,
-    drift: DriftScenario | str = "abrupt",
-    policy: ReplacementPolicy | None = None,
-    mode: ExecutionMode = ExecutionMode.EXFLOW,
-    affinity: float = 0.85,
-    placement_strategy: str = "staged",
-    profile_tokens: int = 2048,
-    halflife_tokens: float | None = None,
-    cost_model: CostModel | None = None,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> OnlineServingResult:
-    """End-to-end online serving scenario from a :class:`ServingConfig`.
-
-    Mirrors the deploy sequence of a real cluster: profile the *initial*
-    regime offline (``profile_tokens`` sampled from the drift scenario at
-    t=0), solve the placement once with ``placement_strategy``, then serve
-    under the drifting workload — statically when ``policy`` is ``None``,
-    or with online re-placement when a :class:`ReplacementPolicy` is given.
-
-    ``drift`` is either a ready :class:`DriftScenario` or a kind name for
-    :func:`make_drift_scenario` over the expected serving horizon
-    (``num_requests / arrival_rate_rps``).
-
-    Seed layout (all derived from ``serving.seed``, all disjoint): arrivals
-    use ``seed``, the offline profile ``seed + 1``, the per-step routing
-    draws ``seed + 2``, and the replacer's solver ``seed + 3`` — the live
-    token stream must never replay the profile stream, or the placement
-    would be scored on the data it was fit to.
-    """
-    if isinstance(drift, str):
-        horizon = serving.num_requests / serving.arrival_rate_rps
-        drift = make_drift_scenario(
-            drift,
-            model.num_experts,
-            model.num_moe_layers,
-            horizon_s=horizon,
-            affinity=affinity,
-            seed=serving.seed,
-        )
-
-    if mode.uses_affinity_placement:
-        profile = drift.model_at(0.0).sample(
-            profile_tokens, np.random.default_rng(serving.seed + 1)
-        )
-        placement = solve_placement(placement_strategy, profile, cluster)
-    else:
-        placement = vanilla_placement(
-            model.num_moe_layers, model.num_experts, cluster.num_gpus
-        )
-
-    requests = make_arrivals(serving, np.random.default_rng(serving.seed))
-    timer = PlacementStepTimer(model, cluster, mode=mode, cost_model=cost_model)
-    return _simulate_online_serving(
-        requests,
-        model,
-        cluster,
-        drift,
-        placement,
-        mode=mode,
-        max_batch_requests=serving.max_batch_requests,
-        policy=policy,
-        timer=timer,
-        halflife_tokens=halflife_tokens,
-        rng=np.random.default_rng(serving.seed + 2),
-        replace_rng=np.random.default_rng(serving.seed + 3),
-        recorder=recorder,
-        profiler=profiler,
     )

@@ -20,8 +20,11 @@ front-end on top of :mod:`repro.engine.serving`:
 * :mod:`repro.fleet.engine` — the vectorized tick engine: same events,
   same results, array state and batched arrival windows for
   million-request fleets (``engine="tick"``).
-* :mod:`repro.fleet.simulate` — the engine dispatch and the config-driven
-  entry point behind ``repro run`` on fleet scenarios.
+* :mod:`repro.fleet.result` — the :class:`FleetResult` both engines
+  return, and its online extension (:class:`OnlineServingResult`).
+
+:func:`repro.run` sets a fleet up from a ``serving``, ``online`` or
+``fleet`` Scenario and calls the engine ``FleetConfig.engine`` names.
 """
 
 from repro.fleet.admission import (
@@ -51,7 +54,7 @@ from repro.fleet.requests import (
     flash_crowd_arrivals,
     make_fleet_requests,
 )
-from repro.fleet.result import FleetResult
+from repro.fleet.result import FleetResult, OnlineServingResult
 from repro.fleet.router import (
     AffinityRouter,
     JoinShortestQueueRouter,
@@ -88,6 +91,7 @@ __all__ = [
     "Router",
     "make_router",
     "FleetResult",
+    "OnlineServingResult",
     "simulate_fleet_reference",
     "simulate_fleet_tick",
 ]

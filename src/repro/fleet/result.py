@@ -32,7 +32,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.config import ClusterConfig, FleetConfig, ModelConfig
+from repro.core.online import ReplacementEvent
+from repro.core.placement.base import Placement
 from repro.engine.metrics import LatencyStats
+from repro.engine.serving import KeptSample
 from repro.engine.workload import DriftScenario
 from repro.fleet.admission import AdmissionController
 from repro.fleet.autoscaler import ScaleEvent
@@ -48,6 +51,7 @@ from repro.obs.recorder import MetricsRecorder
 
 __all__ = [
     "FleetResult",
+    "OnlineServingResult",
     "sample_paths_grouped",
     "validate_fleet_inputs",
     "finalize_fleet_result",
@@ -109,6 +113,12 @@ class FleetResult:
         return self.served / self.makespan_s
 
     @property
+    def throughput_tokens_per_s(self) -> float:
+        if self.makespan_s <= 0:
+            return 0.0
+        return self.generated_tokens / self.makespan_s
+
+    @property
     def availability(self) -> float:
         """Fraction of offered requests that completed (1.0 on zero offered)."""
         if self.offered == 0:
@@ -141,6 +151,29 @@ class FleetResult:
     @property
     def final_replicas(self) -> int:
         return sum(1 for r in self.replicas if r.final_state != ReplicaState.STOPPED.value)
+
+
+@dataclass(frozen=True)
+class OnlineServingResult(FleetResult):
+    """A one-replica fleet run under drifting routing, plus what it alone has.
+
+    ``events`` are the replica's re-placements in order, ``kept_timeline``
+    samples its placement's true kept transition mass, and
+    ``final_placement`` is the placement it ended on (see
+    :func:`~repro.engine.serving._simulate_online_serving`).
+    """
+
+    events: tuple[ReplacementEvent, ...] = ()
+    kept_timeline: tuple[KeptSample, ...] = ()
+    final_placement: Placement | None = None
+
+    @property
+    def num_replacements(self) -> int:
+        return len(self.events)
+
+    @property
+    def migration_stall_s(self) -> float:
+        return sum((e.stall_s for e in self.events), 0.0)
 
 
 def sample_paths_grouped(

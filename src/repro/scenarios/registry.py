@@ -395,19 +395,6 @@ def fleet_bad_day(autoscale: bool, smoke: bool) -> Scenario:
         prompt_len=16 if smoke else 32,
         seed=0,
     )
-    fleet = FleetConfig(
-        num_replicas=3,
-        router="p2c",
-        autoscale=autoscale,
-        min_replicas=3 if autoscale else 1,
-        max_replicas=8,
-        slo_ms=15.0 if smoke else 60.0,
-        batch_slo_ms=150.0 if smoke else 600.0,
-        max_queue_per_replica=16,
-        autoscale_check_every_s=0.0008 if smoke else 0.004,
-        scale_up_queue_per_replica=4.0,
-        scale_dwell_checks=2,
-    )
     horizon = serving.num_requests / serving.arrival_rate_rps
     chaos = bad_day_schedule(
         num_replicas=3,
@@ -420,6 +407,20 @@ def fleet_bad_day(autoscale: bool, smoke: bool) -> Scenario:
         retry=RetryPolicy(
             max_attempts=3, backoff_base_s=0.0005 if smoke else 0.002
         ),
+    )
+    fleet = FleetConfig(
+        num_replicas=3,
+        router="p2c",
+        autoscale=autoscale,
+        min_replicas=3 if autoscale else 1,
+        max_replicas=8,
+        slo_ms=15.0 if smoke else 60.0,
+        batch_slo_ms=150.0 if smoke else 600.0,
+        max_queue_per_replica=16,
+        autoscale_check_every_s=0.0008 if smoke else 0.004,
+        scale_up_queue_per_replica=4.0,
+        scale_dwell_checks=2,
+        chaos=chaos,
     )
     arm = "" if autoscale else "-static"
     return Scenario(
@@ -434,7 +435,6 @@ def fleet_bad_day(autoscale: bool, smoke: bool) -> Scenario:
         affinity=_FIG16_AFFINITY,
         serving=serving,
         fleet=fleet,
-        chaos=chaos,
     )
 
 

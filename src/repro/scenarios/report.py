@@ -3,12 +3,12 @@
 Whatever simulator a :class:`~repro.scenarios.spec.Scenario` dispatches
 to, the caller gets one :class:`SimReport`: shared latency / throughput /
 kept-mass / shed / cost fields, with per-mode extensions in ``extra`` and
-the full underlying result object (``ServingResult``,
-``OnlineServingResult``, ``FleetResult`` or the ``compare_modes`` row
-dict) on ``raw`` for callers that need every detail.  Fields that don't
-apply to a kind hold their zero values — a batch run has no latency
-distribution, a serving run sheds nothing — so sweep output is always
-rectangular.
+the full underlying result object on ``raw`` for callers that need every
+detail: the engine's ``FleetResult`` for the serving, online (an
+``OnlineServingResult``) and fleet kinds, the ``compare_modes`` row dict
+for batch.  Fields that don't apply to a kind hold their zero values — a
+batch run has no latency distribution, a serving run sheds nothing — so
+sweep output is always rectangular.
 
 Cost fields close the ROADMAP's accounting item: every report prices the
 GPU-hours its scenario consumed (``ClusterConfig.gpu_hour_usd``) and

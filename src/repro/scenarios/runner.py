@@ -1,11 +1,18 @@
 """The ``run()`` facade: one entry point for every scenario kind.
 
-``run(scenario)`` inspects the spec's sections, dispatches to the right
-simulator — the lockstep batch engine or a fleet engine (a serving
-scenario is a curve-priced one-replica fleet, an online drift-aware one a
-one-replica fleet priced per step) — and condenses the outcome into one
-:class:`~repro.scenarios.report.SimReport`.
-The full underlying result object stays reachable on ``report.raw``.
+``run(scenario)`` reads :attr:`Scenario.kind` and runs one of two
+simulators.  A ``batch`` scenario runs the lockstep three-way engine
+comparison.  Every other kind runs on a fleet engine, along one path:
+
+* one setup per kind reads the Scenario and keeps that kind's seed layout
+  (:func:`_serving_setup`: a curve-priced one-replica fleet;
+  :func:`_online_setup`: a one-replica fleet priced per step under drift;
+  :func:`_fleet_setup`: the full router/admission/autoscaler fleet);
+* one engine call, chosen by ``FleetConfig.engine`` — the online kind's
+  goes through :func:`~repro.engine.serving._simulate_online_serving`,
+  which tees its kept-mass tracker in;
+* one ``FleetResult`` → :class:`~repro.scenarios.report.SimReport`
+  builder, with the engine's result on ``report.raw``.
 
 ``run_sweep(scenarios)`` executes a list of scenarios (objects or
 registered preset names) across a multiprocessing pool — the parameter-
@@ -21,23 +28,34 @@ import multiprocessing
 import os
 import traceback
 import warnings
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from repro.config import ExecutionMode
+import numpy as np
+
+from repro.config import ExecutionMode, FleetConfig, ServingConfig
+from repro.core.placement.base import Placement
+from repro.core.placement.registry import solve_placement
+from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.comparison import compare_modes
 from repro.engine.serving import (
-    ServingResult,
-    _simulate_cluster_serving,
-    _simulate_online_cluster_serving,
+    PlacementStepTimer,
+    StepCurve,
+    _simulate_online_serving,
+    engine_step_time,
+    make_arrivals,
 )
-from repro.fleet.requests import flash_crowd_arrivals
-from repro.fleet.simulate import _simulate_fleet_cluster_serving
+from repro.engine.workload import DriftScenario, make_drift_scenario
+from repro.fleet.engine import simulate_fleet_tick
+from repro.fleet.reference import simulate_fleet_reference
+from repro.fleet.requests import FleetRequest, flash_crowd_arrivals, make_fleet_requests
+from repro.fleet.result import FleetResult, OnlineServingResult
 from repro.obs.detect import SignalDetector, score_against_chaos
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import MetricsRecorder, TeeRecorder, TimelineRecorder
 from repro.obs.slo import compliance_summary, evaluate_burn_alerts
 from repro.scenarios.report import SimReport
 from repro.scenarios.spec import Scenario
+from repro.trace.markov import MarkovRoutingModel
 
 __all__ = ["SweepError", "make_recorder", "run", "run_sweep"]
 
@@ -89,17 +107,6 @@ def _resolve(scenario: Scenario | str) -> Scenario:
     return scenario
 
 
-def _cost_fields(scenario: Scenario, makespan_s: float, tokens: int) -> dict:
-    """Single-replica cost account: one cluster billed for the makespan."""
-    gpu_hours = makespan_s * scenario.cluster.num_gpus / 3600.0
-    cost = gpu_hours * scenario.cluster.gpu_hour_usd
-    return {
-        "gpu_hours": gpu_hours,
-        "cost_usd": cost,
-        "usd_per_million_tokens": cost / (tokens / 1e6) if tokens > 0 else 0.0,
-    }
-
-
 def _run_batch(s: Scenario) -> SimReport:
     rows = compare_modes(
         s.model,
@@ -112,11 +119,14 @@ def _run_batch(s: Scenario) -> SimReport:
     head = rows[_MODE_ROW[s.mode]].result
     completed = s.batch.total_requests(s.cluster.num_gpus)
     makespan = head.total_time_s
+    tokens = head.generated_tokens
+    gpu_hours = makespan * s.cluster.num_gpus / 3600.0
+    cost = gpu_hours * s.cluster.gpu_hour_usd
     return SimReport(
         scenario=s.name,
         kind="batch",
         completed=completed,
-        generated_tokens=head.generated_tokens,
+        generated_tokens=tokens,
         makespan_s=makespan,
         decode_steps=head.iterations,
         mean_batch_size=float(completed),
@@ -129,87 +139,118 @@ def _run_batch(s: Scenario) -> SimReport:
             "alltoall_fraction_deepspeed": rows["deepspeed"].result.alltoall_fraction,
             "gpu_stay_fraction_exflow": rows["exflow"].result.gpu_stay_fraction,
         },
-        **_cost_fields(s, makespan, head.generated_tokens),
+        gpu_hours=gpu_hours,
+        cost_usd=cost,
+        usd_per_million_tokens=cost / (tokens / 1e6) if tokens > 0 else 0.0,
         raw=rows,
     )
 
 
-def _serving_report(
-    s: Scenario, kind: str, res: ServingResult, raw: object, **fields: Any
-) -> SimReport:
-    """The report fields a one-replica run shares, plus ``fields``."""
-    return SimReport(
-        scenario=s.name,
-        kind=kind,
-        completed=len(res.completed),
-        generated_tokens=res.generated_tokens,
-        makespan_s=res.makespan_s,
-        decode_steps=res.decode_steps,
-        mean_batch_size=res.mean_batch_size,
-        throughput_rps=res.throughput_rps,
-        throughput_tokens_per_s=res.throughput_tokens_per_s,
-        latency_mean_s=res.latency.mean_s,
-        latency_p50_s=res.latency.p50_s,
-        latency_p95_s=res.latency.p95_s,
-        latency_p99_s=res.latency.p99_s,
-        queue_p95_s=res.queue.p95_s,
-        latency_hist=res.latency.histogram_dict(),
-        **_cost_fields(s, res.makespan_s, res.generated_tokens),
-        raw=raw,
-        **fields,
+class _FleetSetup(NamedTuple):
+    """What a kind's setup hands the fleet engine, next to the Scenario's own."""
+
+    requests: list[FleetRequest]
+    regimes: list[DriftScenario]
+    placements: list[Placement]
+    fleet: FleetConfig
+    timer: PlacementStepTimer | StepCurve
+    rng: np.random.Generator | None = None
+    replace_rng: np.random.Generator | None = None
+
+
+def _plain_requests(serving: ServingConfig) -> list[FleetRequest]:
+    """The arrival stream (seed ``serving.seed``) as unlabelled fleet requests."""
+    return [
+        FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len)
+        for q in make_arrivals(serving, np.random.default_rng(serving.seed))
+    ]
+
+
+def _one_replica_fleet(s: Scenario) -> FleetConfig:
+    """The serving and online kinds' fleet: one replica that sheds nothing."""
+    return FleetConfig(
+        num_replicas=1, min_replicas=1, max_replicas=1, router="round-robin", num_regimes=1,
+        slo_ms=math.inf, batch_slo_ms=math.inf, max_queue_per_replica=s.serving.num_requests,
+        replace=s.replacement is not None, engine="tick",
     )
 
 
-def _run_serving(
-    s: Scenario,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> SimReport:
-    res = _simulate_cluster_serving(
+def _placements(
+    s: Scenario, regimes: Sequence[DriftScenario], profile_seeds: Sequence[int]
+) -> list[Placement]:
+    """One deploy-time placement per regime, each fit to an offline profile.
+
+    Regime ``k`` is profiled with ``profile_tokens`` drawn from its t=0
+    routing on seed ``profile_seeds[k]``; modes without affinity placement
+    share one vanilla placement.
+    """
+    if not s.mode.uses_affinity_placement:
+        flat = vanilla_placement(s.model.num_moe_layers, s.model.num_experts, s.cluster.num_gpus)
+        return [flat] * len(regimes)
+    return [
+        solve_placement(
+            s.placement_strategy,
+            regime.model_at(0.0).sample(s.profile_tokens, np.random.default_rng(seed)),
+            s.cluster,
+        )
+        for regime, seed in zip(regimes, profile_seeds, strict=True)
+    ]
+
+
+def _serving_setup(s: Scenario) -> _FleetSetup:
+    """A one-replica fleet priced by a step curve.
+
+    Seeds: the arrivals use ``serving.seed``, and the curve is calibrated
+    on the same seed (:func:`engine_step_time` derives its routing,
+    profile and probe streams from it).  The probes cover the admission
+    cap.
+    """
+    serving = s.serving
+    cap_per_gpu = max(1, -(-serving.max_batch_requests // s.cluster.num_gpus))  # ceil div
+    probes = sorted({1, *(p for p in (2, 4, 8) if p < cap_per_gpu), cap_per_gpu})
+    curve = engine_step_time(
         s.model,
         s.cluster,
-        s.serving,
         mode=s.mode,
+        prompt_len=serving.prompt_len,
         affinity=s.affinity,
         placement_strategy=s.placement_strategy,
-        recorder=recorder,
-        profiler=profiler,
+        probe_requests_per_gpu=probes,
+        seed=serving.seed,
     )
-    return _serving_report(s, "serving", res, res)
+    return _FleetSetup(
+        _plain_requests(serving), [curve.routing], [curve.placement], _one_replica_fleet(s), curve
+    )
 
 
-def _run_online(
-    s: Scenario,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> SimReport:
-    drift_kind = s.drift.kind if s.drift is not None else "none"
-    policy = s.replacement.policy if s.replacement is not None else None
-    halflife = s.replacement.halflife_tokens if s.replacement is not None else None
-    res = _simulate_online_cluster_serving(
-        s.model,
-        s.cluster,
-        s.serving,
-        drift=drift_kind,
-        policy=policy,
-        mode=s.mode,
+def _online_setup(s: Scenario) -> _FleetSetup:
+    """A one-replica fleet priced per step under drifting routing.
+
+    Mirrors a real deploy: profile the initial regime offline, solve the
+    placement once, then serve under the drift the spec names over the
+    expected horizon (``num_requests / arrival_rate_rps``).  Seeds, all
+    disjoint: arrivals and the drift use ``seed``, the offline profile
+    ``seed + 1``, the per-step routing draws ``seed + 2``, and the
+    replacer's solver ``seed + 3`` — the live token stream must never
+    replay the profile stream.
+    """
+    serving, seed = s.serving, s.serving.seed
+    drift = make_drift_scenario(
+        s.drift.kind if s.drift is not None else "none",
+        s.model.num_experts,
+        s.model.num_moe_layers,
+        horizon_s=serving.num_requests / serving.arrival_rate_rps,
         affinity=s.affinity,
-        placement_strategy=s.placement_strategy,
-        profile_tokens=s.profile_tokens,
-        halflife_tokens=halflife,
-        recorder=recorder,
-        profiler=profiler,
+        seed=seed,
     )
-    timeline = res.kept_timeline
-    return _serving_report(
-        s,
-        "online",
-        res.serving,
-        res,
-        kept_mass_initial=timeline[0].true_kept if timeline else None,
-        kept_mass_final=timeline[-1].true_kept if timeline else None,
-        num_replacements=res.num_replacements,
-        migration_stall_s=res.migration_stall_s,
+    return _FleetSetup(
+        _plain_requests(serving),
+        [drift],
+        _placements(s, [drift], [seed + 1]),
+        _one_replica_fleet(s),
+        PlacementStepTimer(s.model, s.cluster, mode=s.mode),
+        np.random.default_rng(seed + 2),
+        np.random.default_rng(seed + 3),
     )
 
 
@@ -223,61 +264,101 @@ def _diurnal_mix(horizon_s: float) -> Callable[[float], tuple[float, float]]:
     return weights
 
 
-def _run_fleet(
-    s: Scenario,
-    recorder: MetricsRecorder | None = None,
-    profiler: PhaseProfiler | None = None,
-) -> SimReport:
-    arrivals = None
+def _fleet_setup(s: Scenario) -> _FleetSetup:
+    """``fleet.num_regimes`` Markov regimes, one placement each, labelled traffic.
+
+    Seeds, all derived from ``serving.seed`` and disjoint: arrivals use
+    ``seed``, regime ``k``'s transitions ``seed + 101*k`` (regime 0 matches
+    the drift scenarios' base regime), its offline profile ``seed + 7 + k``,
+    request labelling ``seed + 5``, the live simulation ``seed + 9``, and
+    the replicas' shared re-placement solver ``seed + 3``.
+    """
+    serving, fleet, seed = s.serving, s.fleet, s.serving.seed
+    regimes: list[DriftScenario] = [
+        MarkovRoutingModel.with_affinity(
+            s.model.num_experts,
+            s.model.num_moe_layers,
+            s.affinity,
+            rng=np.random.default_rng(seed + 101 * k),
+        )
+        for k in range(fleet.num_regimes)
+    ]
     if s.flash is not None:
         arrivals = flash_crowd_arrivals(
-            s.serving, s.flash.factor, s.flash.start_s, s.flash.duration_s
+            serving, s.flash.factor, s.flash.start_s, s.flash.duration_s
         )
+    else:
+        arrivals = make_arrivals(serving, np.random.default_rng(seed))
     regime_weight_at = None
     if s.regime_mix == "diurnal":
-        horizon = s.serving.num_requests / s.serving.arrival_rate_rps
-        regime_weight_at = _diurnal_mix(horizon)
-    fleet = s.fleet
-    if s.chaos is not None:
-        fleet = dataclasses.replace(fleet, chaos=s.chaos)
-    res = _simulate_fleet_cluster_serving(
-        s.model,
-        s.cluster,
-        s.serving,
+        regime_weight_at = _diurnal_mix(serving.num_requests / serving.arrival_rate_rps)
+    requests = make_fleet_requests(
+        arrivals, fleet, rng=np.random.default_rng(seed + 5), regime_weight_at=regime_weight_at
+    )
+    return _FleetSetup(
+        requests,
+        regimes,
+        _placements(s, regimes, [seed + 7 + k for k in range(fleet.num_regimes)]),
         fleet,
-        mode=s.mode,
-        affinity=s.affinity,
-        placement_strategy=s.placement_strategy,
-        profile_tokens=s.profile_tokens,
-        arrivals=arrivals,
-        regime_weight_at=regime_weight_at,
+        PlacementStepTimer(s.model, s.cluster, mode=s.mode),
+        np.random.default_rng(seed + 9),
+        np.random.default_rng(seed + 3),
+    )
+
+
+_SETUPS = {"serving": _serving_setup, "online": _online_setup, "fleet": _fleet_setup}
+
+
+def _run_fleet(
+    s: Scenario, recorder: MetricsRecorder | None, profiler: PhaseProfiler | None
+) -> SimReport:
+    """Set the kind up, make its one engine call, and report the FleetResult."""
+    setup = _SETUPS[s.kind](s)
+    # module globals read at call time, so a rebinding (tracing) is seen
+    engine = simulate_fleet_tick if setup.fleet.engine == "tick" else simulate_fleet_reference
+    args = (setup.requests, s.model, s.cluster, setup.regimes, setup.placements, setup.fleet)
+    kwargs: dict[str, Any] = dict(
+        max_batch_requests=s.serving.max_batch_requests,
+        timer=setup.timer,
         replace_policy=s.replacement.policy if s.replacement is not None else None,
         replace_halflife_tokens=(
             s.replacement.halflife_tokens if s.replacement is not None else None
         ),
+        rng=setup.rng,
+        replace_rng=setup.replace_rng,
         recorder=recorder,
         profiler=profiler,
     )
+    if s.kind == "online":
+        res = _simulate_online_serving(engine, *args, **kwargs)
+    else:
+        res = engine(*args, **kwargs)
+    return _fleet_report(s, res)
+
+
+def _fleet_report(s: Scenario, res: FleetResult) -> SimReport:
+    """The :class:`SimReport` of one fleet engine run, ``res`` on ``raw``."""
     busy = sum(r.busy_s for r in res.replicas)
     weighted = sum(r.mean_batch_size * r.busy_s for r in res.replicas)
+    kept = res.kept_timeline if isinstance(res, OnlineServingResult) else ()
     return SimReport(
         scenario=s.name,
-        kind="fleet",
+        kind=s.kind,
         completed=res.served,
         generated_tokens=res.generated_tokens,
         makespan_s=res.makespan_s,
         decode_steps=sum(r.decode_steps for r in res.replicas),
         mean_batch_size=weighted / busy if busy > 0 else 0.0,
         throughput_rps=res.throughput_rps,
-        throughput_tokens_per_s=(
-            res.generated_tokens / res.makespan_s if res.makespan_s > 0 else 0.0
-        ),
+        throughput_tokens_per_s=res.throughput_tokens_per_s,
         latency_mean_s=res.latency.mean_s,
         latency_p50_s=res.latency.p50_s,
         latency_p95_s=res.latency.p95_s,
         latency_p99_s=res.latency.p99_s,
         queue_p95_s=res.queue.p95_s,
         latency_hist=res.latency.histogram_dict(),
+        kept_mass_initial=kept[0].true_kept if kept else None,
+        kept_mass_final=kept[-1].true_kept if kept else None,
         num_replacements=sum(r.replacements for r in res.replicas),
         migration_stall_s=sum(r.migration_stall_s for r in res.replicas),
         shed=len(res.shed),
@@ -363,12 +444,11 @@ def _slo_fields(
     detection = detector.summary()
     res = report.raw
     failures = list(getattr(res, "failures", ()) or ())
-    chaos = s.chaos if s.chaos is not None else (s.fleet.chaos if s.fleet is not None else None)
     detection["scored"] = score_against_chaos(
         outages=detector.outages,
         brownouts=detector.brownouts,
         failures=failures,
-        chaos=chaos,
+        chaos=s.fleet.chaos,
     )
     return dataclasses.replace(
         report,
@@ -393,15 +473,15 @@ def run(
     false — the sweep runner does this to keep IPC payloads small).
 
     Telemetry: a scenario with a ``telemetry`` section automatically gets
-    a fresh :class:`~repro.obs.recorder.TimelineRecorder` (and, with
-    ``profile=True``, a :class:`~repro.obs.profile.PhaseProfiler`)
-    attached; pass ``recorder``/``profiler`` explicitly to override (e.g.
-    to keep the recorder for Chrome-trace export).  When the recorder is
-    a ``TimelineRecorder``, its timeline document lands on
-    ``report.timeline``; profiler phase seconds/fractions land in
-    ``report.extra`` under ``profile_*`` keys.  Recorders and profilers
-    attach to every kind but batch: serving, online and fleet scenarios
-    all run on a fleet engine.
+    a fresh :class:`~repro.obs.recorder.TimelineRecorder` attached; pass
+    ``recorder`` explicitly to override (e.g. to keep the recorder for
+    Chrome-trace export).  When the recorder is a ``TimelineRecorder``,
+    its timeline document lands on ``report.timeline``.  Pass a
+    :class:`~repro.obs.profile.PhaseProfiler` as ``profiler`` to time the
+    engine's phases: their seconds/fractions land in ``report.extra``
+    under ``profile_*`` keys.  Recorders and profilers attach to every
+    kind but batch: serving, online and fleet scenarios all run on a
+    fleet engine.
 
     SLO monitoring: when ``telemetry.slo`` is set, a
     :class:`~repro.obs.detect.SignalDetector` rides the same hook stream
@@ -422,8 +502,6 @@ def run(
     tele = s.telemetry
     if recorder is None and tele is not None:
         recorder = make_recorder(s)
-    if profiler is None and tele is not None and tele.profile:
-        profiler = PhaseProfiler()
     if (recorder is not None or profiler is not None) and s.kind == "batch":
         raise ValueError(
             "recorders and profilers attach to serving and fleet scenarios "
@@ -454,14 +532,10 @@ def run(
                     "scenarios with make_recorder()",
                     stacklevel=2,
                 )
-    if s.kind == "fleet":
-        report = _run_fleet(s, recorder=engine_recorder, profiler=profiler)
-    elif s.kind == "online":
-        report = _run_online(s, recorder=recorder, profiler=profiler)
-    elif s.kind == "serving":
-        report = _run_serving(s, recorder=recorder, profiler=profiler)
-    else:
+    if s.kind == "batch":
         report = _run_batch(s)
+    else:
+        report = _run_fleet(s, engine_recorder, profiler)
     timeline_rec = next(
         (r for r in leaves if isinstance(r, TimelineRecorder)), None
     )

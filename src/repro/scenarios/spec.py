@@ -34,7 +34,6 @@ import typing
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.chaos.spec import ChaosSpec
 from repro.config import (
     ClusterConfig,
     ExecutionMode,
@@ -97,15 +96,13 @@ class ReplacementSpec:
 
 @dataclass(frozen=True)
 class TelemetrySpec:
-    """Observability attachment: per-window timelines, spans, self-profiling.
+    """Observability attachment: per-window timelines and spans.
 
     Mirrors the :class:`repro.obs.recorder.TimelineRecorder` constructor —
     ``window_s=None`` enables the deterministic auto-sizing window,
     ``spans=False`` keeps timelines but drops Chrome-trace span logging,
-    ``max_span_events`` bounds span memory.  ``profile=True`` additionally
-    attaches a :class:`repro.obs.profile.PhaseProfiler` (the phase timers
-    live in the fleet engines, which run every kind but batch) and reports
-    the phase breakdown in ``SimReport.extra``.
+    ``max_span_events`` bounds span memory.  (The simulator's own phase
+    profile is a run option: ``run(scenario, profiler=PhaseProfiler())``.)
 
     ``slo`` attaches a :class:`repro.obs.slo.SloSpec` (fleet scenarios
     only — burn signals need the fleet's shed/availability semantics):
@@ -118,7 +115,6 @@ class TelemetrySpec:
     max_windows: int = 128
     spans: bool = True
     max_span_events: int = 20_000
-    profile: bool = False
     slo: SloSpec | None = None
 
     def __post_init__(self) -> None:
@@ -260,19 +256,13 @@ class Scenario:
     regime_mix / flash:
         Fleet-only traffic shaping: the regime mixture process and an
         optional flash-crowd rate spike.
-    chaos:
-        Fleet-only fault injection: a frozen
-        :class:`~repro.chaos.spec.ChaosSpec` (crash / preemption /
-        brownout schedules plus the retry policy), merged into
-        ``fleet.chaos`` at run time.
     profile_tokens:
         Offline profiling trace length for affinity placements in the
         online and fleet paths.
     telemetry:
         Optional observability attachment (serving, online and fleet
         kinds): a :class:`TelemetrySpec` makes ``run`` record a per-window
-        metric timeline (``SimReport.timeline``), span traces, and — with
-        ``profile=True`` — the simulator's own phase breakdown.
+        metric timeline (``SimReport.timeline``) and span traces.
     """
 
     name: str
@@ -290,7 +280,6 @@ class Scenario:
     fleet: FleetConfig | None = None
     regime_mix: str = "uniform"
     flash: FlashCrowdSpec | None = None
-    chaos: ChaosSpec | None = None
     profile_tokens: int = 2048
     telemetry: TelemetrySpec | None = None
 
@@ -346,14 +335,6 @@ class Scenario:
                 "use serving.arrival='poisson' (the bursty MMPP stream would "
                 "be silently ignored)"
             )
-        if self.chaos is not None:
-            if self.fleet is None:
-                raise ValueError("chaos sections require a fleet section")
-            if self.fleet.chaos is not None:
-                raise ValueError(
-                    "chaos is declared twice: drop fleet.chaos when the "
-                    "scenario carries a chaos section"
-                )
         if (
             self.fleet is not None
             and self.replacement is not None

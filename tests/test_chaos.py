@@ -10,7 +10,6 @@ surfacing.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
 
@@ -180,33 +179,28 @@ class TestBadDaySchedule:
 class TestChaosSerde:
     def test_bad_day_preset_roundtrips(self):
         s = get_scenario("fleet-bad-day-smoke")
-        assert s.chaos is not None and s.chaos.has_faults
+        assert s.fleet.chaos is not None and s.fleet.chaos.has_faults
         assert Scenario.from_json(s.to_json()) == s
 
     def test_unknown_chaos_field_rejected(self):
         d = get_scenario("fleet-bad-day-smoke").to_dict()
-        d["chaos"]["blast_radius"] = 3
+        d["fleet"]["chaos"]["blast_radius"] = 3
         with pytest.raises(ValueError, match="blast_radius"):
             Scenario.from_dict(d)
 
     def test_unknown_nested_fault_field_rejected(self):
         d = get_scenario("fleet-bad-day-smoke").to_dict()
-        d["chaos"]["crashes"][0]["severity"] = "high"
+        d["fleet"]["chaos"]["crashes"][0]["severity"] = "high"
         with pytest.raises(ValueError, match="severity"):
             Scenario.from_dict(d)
 
     def test_chaos_requires_fleet(self):
-        serve = get_scenario("serve-poisson-smoke")
-        with pytest.raises(ValueError, match="fleet"):
-            dataclasses.replace(serve, chaos=ChaosSpec())
-
-    def test_chaos_declared_twice_rejected(self):
-        s = get_scenario("fleet-bad-day-smoke")
-        assert s.fleet is not None and s.chaos is not None
-        with pytest.raises(ValueError, match="twice"):
-            dataclasses.replace(
-                s, fleet=dataclasses.replace(s.fleet, chaos=s.chaos)
-            )
+        """Chaos is declared on the fleet section only: a top-level chaos
+        key is an unknown Scenario field."""
+        d = get_scenario("serve-poisson-smoke").to_dict()
+        d["chaos"] = get_scenario("fleet-bad-day-smoke").to_dict()["fleet"]["chaos"]
+        with pytest.raises(ValueError, match="chaos"):
+            Scenario.from_dict(d)
 
     def test_fleet_config_chaos_typechecked(self):
         with pytest.raises(TypeError):
@@ -297,7 +291,7 @@ class TestSweepErrorSurfacing:
         def boom(s, recorder=None, profiler=None):
             raise RuntimeError("deliberate test failure")
 
-        monkeypatch.setattr(runner_mod, "_run_serving", boom)
+        monkeypatch.setattr(runner_mod, "_run_fleet", boom)
         with pytest.raises(SweepError) as excinfo:
             run_sweep(["serve-poisson-smoke"], processes=1)
         err = excinfo.value

@@ -23,7 +23,7 @@ from repro.chaos import (
     RetryPolicy,
 )
 from repro.config import ClusterConfig, FleetConfig, ModelConfig, ServingConfig
-from repro.fleet.simulate import _simulate_fleet_cluster_serving
+from fleet_runs import fleet_result
 
 MODEL = ModelConfig(
     name="chaos-prop-test", num_layers=4, num_experts=8, d_model=64, num_heads=4
@@ -116,10 +116,10 @@ def test_requests_conserved_and_engines_agree(chaos: ChaosSpec, migrate: bool):
         migrate_on_drain=migrate,
         chaos=chaos,
     )
-    event = _simulate_fleet_cluster_serving(
+    event = fleet_result(
         MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="event")
     )
-    tick = _simulate_fleet_cluster_serving(
+    tick = fleet_result(
         MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="tick")
     )
     for result in (event, tick):

@@ -94,6 +94,14 @@ class TestRunCommand:
         assert json.loads(captured.out)["scenario"] == "serve-poisson-smoke"
         assert "wrote report" in captured.err
 
+    def test_metrics_on_batch_preset_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["run", "fig10-end-to-end-smoke", "--metrics", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "kind 'batch'" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_name_and_file_are_mutually_exclusive(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         get_scenario("serve-poisson-smoke").save(path)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import TelemetrySpec, get_scenario, run
+from repro import Scenario, TelemetrySpec, get_scenario, run
 from repro.cluster.collectives import allgather_cost, alltoall_matrix
 from repro.config import (
     ClusterConfig,
@@ -31,10 +31,10 @@ from repro.engine.serving import (
     engine_step_time,
     make_arrivals,
     poisson_arrivals,
-    _simulate_cluster_serving,
-    _simulate_serving,
 )
+from repro.fleet import FleetRequest, simulate_fleet_tick
 from repro.trace.markov import MarkovRoutingModel
+from fleet_runs import one_replica_fleet
 
 
 @pytest.fixture
@@ -245,7 +245,7 @@ class TestServingConfigValidation:
 
 @pytest.fixture
 def serve(small_model, small_cluster):
-    """The one-replica adapter on the small model, priced by a flat curve."""
+    """A one-replica tick fleet on the small model, priced by a flat curve."""
     routing = MarkovRoutingModel.with_affinity(
         small_model.num_experts, small_model.num_moe_layers, 0.85,
         rng=np.random.default_rng(0),
@@ -256,9 +256,12 @@ def serve(small_model, small_cluster):
 
     def serve(requests, seconds, max_batch_requests=64):
         curve = StepCurve(np.array([1.0]), np.array([seconds]), routing, placement)
-        return _simulate_serving(
-            requests, small_model, small_cluster, routing, placement, curve,
-            max_batch_requests,
+        reqs = [
+            FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len) for q in requests
+        ]
+        return simulate_fleet_tick(
+            reqs, small_model, small_cluster, [routing], [placement], one_replica_fleet(len(reqs)),
+            max_batch_requests=max_batch_requests, timer=curve,
         )
 
     return serve
@@ -272,7 +275,7 @@ class TestContinuousBatching:
 
     def test_empty_input(self, serve):
         res = serve([], 1e-3)
-        assert res.completed == () and res.decode_steps == 0
+        assert res.completed == () and res.replicas == ()
 
     def test_zero_makespan_throughput_is_zero(self, serve):
         """Regression: zero-span results used to report inf throughput."""
@@ -319,12 +322,12 @@ class TestContinuousBatching:
 
     def test_batch_cap_respected(self, cfg, serve):
         res = serve(poisson_arrivals(cfg), 1e-3, 4)
-        assert res.mean_batch_size <= 4.0 + 1e-9
+        assert res.replicas[0].mean_batch_size <= 4.0 + 1e-9
 
     def test_mean_batch_and_utilization_bounds(self, cfg, serve):
-        res = serve(poisson_arrivals(cfg), 1e-3, 16)
-        assert 0.0 < res.mean_batch_size <= 16.0
-        assert 0.0 < res.utilization <= 1.0
+        replica = serve(poisson_arrivals(cfg), 1e-3, 16).replicas[0]
+        assert 0.0 < replica.mean_batch_size <= 16.0
+        assert 0.0 < replica.utilization <= 1.0
 
     def test_rejects_bad_step_time(self, cfg, serve):
         with pytest.raises(ValueError):
@@ -417,15 +420,18 @@ class TestEngineCalibration:
         assert step(2 * cluster.num_gpus) > floor
 
 
+def _serve_scenario(model, cluster, serving):
+    """``run()``'s FleetResult for a serving Scenario of these sections."""
+    return run(Scenario(name="test-serve", model=model, cluster=cluster, serving=serving)).raw
+
+
 class TestClusterServing:
     def test_end_to_end_tiny(self, small_model, small_cluster):
         serving = ServingConfig(
             arrival_rate_rps=500.0, num_requests=40, generate_len=4,
             max_batch_requests=8, prompt_len=8, seed=3,
         )
-        res = _simulate_cluster_serving(
-            small_model, small_cluster, serving, mode=ExecutionMode.EXFLOW
-        )
+        res = _serve_scenario(small_model, small_cluster, serving)
         assert len(res.completed) == 40
         assert res.latency.p50_s <= res.latency.p99_s
         assert res.throughput_tokens_per_s > 0
@@ -435,8 +441,8 @@ class TestClusterServing:
             arrival="bursty", arrival_rate_rps=300.0, num_requests=30,
             generate_len=4, max_batch_requests=8, prompt_len=8, seed=9,
         )
-        a = _simulate_cluster_serving(small_model, small_cluster, serving)
-        b = _simulate_cluster_serving(small_model, small_cluster, serving)
+        a = _serve_scenario(small_model, small_cluster, serving)
+        b = _serve_scenario(small_model, small_cluster, serving)
         assert a.latency == b.latency
         assert a.makespan_s == b.makespan_s
 

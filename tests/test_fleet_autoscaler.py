@@ -11,8 +11,8 @@ from repro.core.placement.greedy import greedy_placement
 from repro.core.placement.vanilla import vanilla_placement
 from repro.fleet.autoscaler import ReactiveAutoscaler, price_cold_start
 from repro.fleet.replica import ReplicaState
-from repro.fleet.simulate import _simulate_fleet_cluster_serving
 from repro.trace.markov import MarkovRoutingModel
+from fleet_runs import fleet_result
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,7 @@ def _drain_run(model, cluster, migrate: bool, queue_cap: int = 1000):
         scale_dwell_checks=1,
         migrate_on_drain=migrate,
     )
-    return _simulate_fleet_cluster_serving(model, cluster, serving, fleet)
+    return fleet_result(model, cluster, serving, fleet)
 
 
 class TestScaleDownMigration:
@@ -203,7 +203,7 @@ class TestFleetCostAccounting:
             prompt_len=8,
             seed=0,
         )
-        res = _simulate_fleet_cluster_serving(
+        res = fleet_result(
             model, cluster, serving, FleetConfig(num_replicas=2, router="jsq")
         )
         expected_hours = 2 * cluster.num_gpus * res.makespan_s / 3600.0
@@ -237,7 +237,7 @@ class TestFleetCostAccounting:
             max_batch_requests=8,
             prompt_len=8,
         )
-        res = _simulate_fleet_cluster_serving(
+        res = fleet_result(
             model, cluster, serving, FleetConfig(num_replicas=1, router="jsq")
         )
         assert res.gpu_hours > 0

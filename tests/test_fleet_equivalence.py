@@ -33,9 +33,9 @@ from repro.chaos import (
     RetryPolicy,
     bad_day_schedule,
 )
-from repro.fleet.requests import flash_crowd_arrivals
-from repro.fleet.simulate import _simulate_fleet_cluster_serving
 from repro.obs.recorder import MetricsRecorder
+from repro.scenarios import FlashCrowdSpec
+from fleet_runs import ENGINES, fleet_result
 
 MODEL = ModelConfig(
     name="fleet-eq-test", num_layers=4, num_experts=8, d_model=64, num_heads=4
@@ -55,10 +55,10 @@ ROUTERS = ("round-robin", "jsq", "p2c", "affinity")
 
 
 def run_both(fleet, model=MODEL, serving=SERVING, **kwargs):
-    event = _simulate_fleet_cluster_serving(
+    event = fleet_result(
         model, CLUSTER, serving, dataclasses.replace(fleet, engine="event"), **kwargs
     )
-    tick = _simulate_fleet_cluster_serving(
+    tick = fleet_result(
         model, CLUSTER, serving, dataclasses.replace(fleet, engine="tick"), **kwargs
     )
     return event, tick
@@ -159,7 +159,7 @@ def test_autoscale_flash_crowd(router):
         prompt_len=8,
         seed=5,
     )
-    arrivals = flash_crowd_arrivals(base, 4.0, 0.005, 0.05)
+    flash = FlashCrowdSpec(4.0, 0.005, 0.05)
     fleet = FleetConfig(
         num_replicas=2,
         router=router,
@@ -173,7 +173,7 @@ def test_autoscale_flash_crowd(router):
         scale_up_queue_per_replica=4.0,
         scale_dwell_checks=2,
     )
-    event, tick = run_both(fleet, serving=base, arrivals=arrivals)
+    event, tick = run_both(fleet, serving=base, flash=flash)
     assert any(e.kind == "up" for e in event.scale_events)
     assert_identical(event, tick)
 
@@ -222,7 +222,6 @@ def test_one_replica_drifting_regime_with_replacement():
     from repro.engine.serving import make_arrivals
     from repro.engine.workload import GradualDrift
     from repro.fleet.requests import FleetRequest
-    from repro.fleet.simulate import _simulate_fleet_serving
     from repro.obs.recorder import TimelineRecorder
     from repro.trace.markov import MarkovRoutingModel
 
@@ -253,7 +252,7 @@ def test_one_replica_drifting_regime_with_replacement():
             engine=engine,
         )
         results.append(
-            _simulate_fleet_serving(
+            ENGINES[engine](
                 reqs, MODEL, CLUSTER, [drift], [placement], fleet,
                 max_batch_requests=SERVING.max_batch_requests,
                 replace_policy=policy,
@@ -278,7 +277,6 @@ def test_curve_priced_fleet_under_p2c():
 
     from repro.engine.serving import engine_step_time, make_arrivals
     from repro.fleet.requests import FleetRequest
-    from repro.fleet.simulate import _simulate_fleet_serving
 
     curve = engine_step_time(
         MODEL, CLUSTER, prompt_len=SERVING.prompt_len,
@@ -289,7 +287,7 @@ def test_curve_priced_fleet_under_p2c():
         for q in make_arrivals(SERVING, np.random.default_rng(0))
     ]
     results = [
-        _simulate_fleet_serving(
+        ENGINES[engine](
             reqs, MODEL, CLUSTER, [curve.routing], [curve.placement],
             FleetConfig(num_replicas=3, router="p2c", num_regimes=1, engine=engine),
             max_batch_requests=SERVING.max_batch_requests,
@@ -347,14 +345,14 @@ class TestTelemetryEquivalence:
 
         rec_event = TimelineRecorder()
         rec_tick = TimelineRecorder()
-        event = _simulate_fleet_cluster_serving(
+        event = fleet_result(
             MODEL,
             CLUSTER,
             self.BUSY,
             dataclasses.replace(self.FLEET, engine="event"),
             recorder=rec_event,
         )
-        tick = _simulate_fleet_cluster_serving(
+        tick = fleet_result(
             MODEL,
             CLUSTER,
             self.BUSY,
@@ -406,11 +404,11 @@ def test_profiler_does_not_perturb_results():
     bare_event, bare_tick = run_both(fleet)
     prof_event = PhaseProfiler()
     prof_tick = PhaseProfiler()
-    event = _simulate_fleet_cluster_serving(
+    event = fleet_result(
         MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="event"),
         profiler=prof_event,
     )
-    tick = _simulate_fleet_cluster_serving(
+    tick = fleet_result(
         MODEL, CLUSTER, SERVING, dataclasses.replace(fleet, engine="tick"),
         profiler=prof_tick,
     )
@@ -519,7 +517,7 @@ def test_preemption_equivalence(migrate, router):
     )
     counters = {"event": _RequeueCounter(), "tick": _RequeueCounter()}
     event, tick = (
-        _simulate_fleet_cluster_serving(
+        fleet_result(
             MODEL, CLUSTER, loaded, dataclasses.replace(fleet, engine=engine),
             recorder=counter,
         )
@@ -583,7 +581,7 @@ def test_chaos_with_autoscale():
         prompt_len=8,
         seed=5,
     )
-    arrivals = flash_crowd_arrivals(base, 4.0, 0.005, 0.05)
+    flash = FlashCrowdSpec(4.0, 0.005, 0.05)
     chaos = ChaosSpec(
         crashes=(CrashSpec(0.01, 0),),
         preemptions=(PreemptSpec(0.02, 1, grace_s=0.001),),
@@ -603,7 +601,7 @@ def test_chaos_with_autoscale():
         scale_dwell_checks=2,
         chaos=chaos,
     )
-    event, tick = run_both(fleet, serving=base, arrivals=arrivals)
+    event, tick = run_both(fleet, serving=base, flash=flash)
     assert len(event.failures) == 2
     assert event.mean_time_to_recover_s > 0.0
     assert_conserved(event, base.num_requests)
@@ -637,14 +635,14 @@ class TestChaosTelemetryEquivalence:
 
         rec_event = TimelineRecorder()
         rec_tick = TimelineRecorder()
-        event = _simulate_fleet_cluster_serving(
+        event = fleet_result(
             MODEL,
             CLUSTER,
             SERVING,
             dataclasses.replace(self.FLEET, engine="event"),
             recorder=rec_event,
         )
-        tick = _simulate_fleet_cluster_serving(
+        tick = fleet_result(
             MODEL,
             CLUSTER,
             SERVING,

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, ExecutionMode, FleetConfig, ModelConfig, ServingConfig
+from repro.fleet import simulate_fleet_reference
 from repro.fleet.requests import (
     FleetRequest,
     flash_crowd_arrivals,
     make_fleet_requests,
 )
-from repro.fleet.simulate import _simulate_fleet_cluster_serving, _simulate_fleet_serving
 from repro.obs.recorder import MetricsRecorder
+from repro.scenarios import FlashCrowdSpec
 from repro.trace.markov import MarkovRoutingModel
+from fleet_runs import ENGINES, fleet_result
 
 
 @pytest.fixture
@@ -202,7 +204,7 @@ class TestMakeFleetRequests:
 
 class TestFleetServing:
     def _run(self, model, cluster, serving, fleet, **kwargs):
-        return _simulate_fleet_cluster_serving(model, cluster, serving, fleet, **kwargs)
+        return fleet_result(model, cluster, serving, fleet, **kwargs)
 
     def test_conservation(self, model, cluster, serving):
         fleet = FleetConfig(num_replicas=3, router="jsq", max_replicas=4)
@@ -226,7 +228,7 @@ class TestFleetServing:
         regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
         from repro.core.placement.vanilla import vanilla_placement
 
-        res = _simulate_fleet_serving(
+        res = simulate_fleet_reference(
             [],
             model,
             cluster,
@@ -243,21 +245,21 @@ class TestFleetServing:
         regimes = [MarkovRoutingModel.with_affinity(8, 4, 0.8)]
         flat = vanilla_placement(4, 8, 4)
         with pytest.raises(ValueError, match="num_regimes"):
-            _simulate_fleet_serving(
+            simulate_fleet_reference(
                 [], model, cluster, regimes, [flat], FleetConfig(num_regimes=2)
             )
         with pytest.raises(ValueError, match="placement"):
-            _simulate_fleet_serving(
+            simulate_fleet_reference(
                 [], model, cluster, regimes, [], FleetConfig(num_regimes=1)
             )
         with pytest.raises(ValueError, match="max_batch"):
-            _simulate_fleet_serving(
+            simulate_fleet_reference(
                 [], model, cluster, regimes, [flat],
                 FleetConfig(num_regimes=1), max_batch_requests=0,
             )
         with pytest.raises(ValueError, match="shape"):
             bad = [MarkovRoutingModel.with_affinity(4, 4, 0.8)]
-            _simulate_fleet_serving(
+            simulate_fleet_reference(
                 [], model, cluster, bad, [flat], FleetConfig(num_regimes=1)
             )
 
@@ -272,7 +274,7 @@ class TestFleetServing:
         flat = vanilla_placement(4, 8, 4)
         bad = [FleetRequest(0, 0.0, 8, 4, regime=3)]
         with pytest.raises(ValueError, match="regime 3.*only regimes 0..0"):
-            _simulate_fleet_serving(
+            ENGINES[engine](
                 bad, model, cluster, regimes, [flat],
                 FleetConfig(num_regimes=1, engine=engine),
             )
@@ -343,7 +345,7 @@ class TestFleetServing:
             prompt_len=8,
             seed=5,
         )
-        arrivals = flash_crowd_arrivals(base, 4.0, 0.005, 0.05)
+        flash = FlashCrowdSpec(4.0, 0.005, 0.05)
         fleet = FleetConfig(
             num_replicas=2,
             router="jsq",
@@ -356,14 +358,14 @@ class TestFleetServing:
             scale_up_queue_per_replica=4.0,
             scale_dwell_checks=2,
         )
-        res = self._run(model, cluster, base, fleet, arrivals=arrivals)
+        res = self._run(model, cluster, base, fleet, flash=flash)
         ups = [e for e in res.scale_events if e.kind == "up"]
         assert ups, "flash crowd must trigger scale-up"
         assert all(e.cold_start_s > 0 for e in ups)
         assert res.peak_replicas > 2
         static = self._run(
             model, cluster, base, dataclasses.replace(fleet, autoscale=False),
-            arrivals=arrivals,
+            flash=flash,
         )
         assert res.shed_fraction <= static.shed_fraction
 
@@ -445,7 +447,7 @@ class TestMigrationStall:
         policy = ReplacementPolicy(
             replace_every_steps=5, min_effective_tokens=0, cooldown_steps=0
         )
-        res = _simulate_fleet_serving(
+        res = ENGINES[engine](
             reqs,
             model,
             cluster,

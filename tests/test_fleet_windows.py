@@ -22,8 +22,8 @@ import repro
 from repro.config import FleetConfig, ServingConfig
 from repro.fleet import engine as tick_engine
 from repro.fleet.router import jsq_select, jsq_waterfill
-from repro.fleet.simulate import _simulate_fleet_cluster_serving
 from repro.obs.recorder import MetricsRecorder, TeeRecorder, TimelineRecorder
+from fleet_runs import fleet_result
 from test_fleet_equivalence import CLUSTER, MODEL, ROUTERS, assert_identical
 
 
@@ -61,7 +61,7 @@ def test_waterfill_matches_repeated_jsq(loads, count):
 
 def _run_recorded(serving, fleet, engine):
     timeline, log = TimelineRecorder(), _ArrivalLog()
-    result = _simulate_fleet_cluster_serving(
+    result = fleet_result(
         MODEL,
         CLUSTER,
         serving,
@@ -176,7 +176,7 @@ def test_pass_count_bounded_under_shedding(monkeypatch, router):
         max_queue_per_replica=16,
         engine="tick",
     )
-    result = _simulate_fleet_cluster_serving(MODEL, CLUSTER, overload, fleet)
+    result = fleet_result(MODEL, CLUSTER, overload, fleet)
     switches = _admit_to_shed_switches(result)
     assert len(result.shed) > 0 and switches > 0
     assert counter.passes <= counter.calls + counter.wakes + switches

@@ -433,9 +433,9 @@ class TestRunFacadeTelemetry:
         s = _serving_scenario(
             name="t-obs-fleet",
             fleet=FleetConfig(num_replicas=2, router="jsq"),
-            telemetry=TelemetrySpec(profile=True),
+            telemetry=TelemetrySpec(),
         )
-        report = run(s)
+        report = run(s, profiler=PhaseProfiler())
         assert report.timeline is not None
         assert report.timeline["num_replicas"] == 2
         assert report.extra["profile_total_s"] > 0.0
@@ -473,7 +473,7 @@ class TestRunFacadeTelemetry:
         """The serving kind runs on the tick engine, so it profiles like the
         others, and profiling changes nothing but the ``profile_*`` extras."""
         bare = run(_serving_scenario(telemetry=TelemetrySpec()))
-        profiled = run(_serving_scenario(telemetry=TelemetrySpec(profile=True)))
+        profiled = run(_serving_scenario(telemetry=TelemetrySpec()), profiler=PhaseProfiler())
         assert profiled.extra["profile_total_s"] > 0.0
         extra = {k: v for k, v in profiled.extra.items() if not k.startswith("profile_")}
         assert dataclasses.replace(profiled, extra=extra, raw=None) == dataclasses.replace(

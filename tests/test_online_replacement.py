@@ -40,9 +40,8 @@ from repro.engine.executor import simulate_inference
 from repro.engine.serving import (
     PlacementStepTimer,
     _KeptMassTracker,
-    poisson_arrivals,
-    _simulate_online_cluster_serving,
     _simulate_online_serving,
+    poisson_arrivals,
 )
 from repro.engine.workload import (
     AbruptDrift,
@@ -52,10 +51,12 @@ from repro.engine.workload import (
     make_decode_workload,
     make_drift_scenario,
 )
-from repro.scenarios import get_scenario
+from repro.fleet import FleetRequest, simulate_fleet_tick
+from repro.scenarios import DriftSpec, ReplacementSpec, Scenario, get_scenario
 from repro.scenarios import run as run_scenario
 from repro.trace.events import CountTrace
 from repro.trace.markov import MarkovRoutingModel
+from fleet_runs import one_replica_fleet
 
 
 @pytest.fixture
@@ -609,6 +610,25 @@ class TestPlacementStepTimer:
             timer.step_time(ok_paths, home, np.zeros(2, dtype=int), placement)
 
 
+def _online(model, cluster, serving, drift, policy=None, halflife_tokens=None):
+    """``run()``'s result for an online Scenario; static when ``policy`` is None."""
+    replacement = None if policy is None else ReplacementSpec(policy, halflife_tokens)
+    s = Scenario(
+        name="test-online", model=model, cluster=cluster, serving=serving,
+        drift=DriftSpec(drift), replacement=replacement,
+    )
+    return run_scenario(s).raw
+
+
+def _one_replica(requests, model, cluster, drift, placement):
+    """``_simulate_online_serving`` on a static one-replica tick fleet."""
+    reqs = [FleetRequest(q.req_id, q.arrival_s, q.prompt_len, q.generate_len) for q in requests]
+    return _simulate_online_serving(
+        simulate_fleet_tick, reqs, model, cluster, [drift], [placement],
+        one_replica_fleet(len(reqs)), timer=PlacementStepTimer(model, cluster),
+    )
+
+
 class TestOnlineServing:
     @pytest.fixture
     def setup(self, small_model, small_cluster):
@@ -624,10 +644,10 @@ class TestOnlineServing:
 
     def test_all_requests_complete_static(self, setup):
         model, cluster, serving = setup
-        res = _simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
-        assert len(res.serving.completed) == serving.num_requests
+        res = _online(model, cluster, serving, "abrupt")
+        assert len(res.completed) == serving.num_requests
         assert res.events == () and res.migration_stall_s == 0.0
-        assert res.serving.latency.p50_s <= res.serving.latency.p99_s
+        assert res.latency.p50_s <= res.latency.p99_s
         assert res.kept_timeline[0].time_s <= res.kept_timeline[-1].time_s
 
     def test_deterministic_given_seed(self, setup):
@@ -635,13 +655,9 @@ class TestOnlineServing:
         policy = ReplacementPolicy(
             check_every_steps=4, min_effective_tokens=64, cooldown_steps=8
         )
-        a = _simulate_online_cluster_serving(
-            model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
-        )
-        b = _simulate_online_cluster_serving(
-            model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
-        )
-        assert a.serving.latency == b.serving.latency
+        a = _online(model, cluster, serving, "abrupt", policy, halflife_tokens=128)
+        b = _online(model, cluster, serving, "abrupt", policy, halflife_tokens=128)
+        assert a.latency == b.latency
         assert a.events == b.events
         assert np.array_equal(a.final_placement.gpu_of, b.final_placement.gpu_of)
 
@@ -655,10 +671,8 @@ class TestOnlineServing:
             cooldown_steps=8,
             solver_passes=6,
         )
-        static = _simulate_online_cluster_serving(model, cluster, serving, drift="abrupt")
-        online = _simulate_online_cluster_serving(
-            model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=128
-        )
+        static = _online(model, cluster, serving, "abrupt")
+        online = _online(model, cluster, serving, "abrupt", policy, halflife_tokens=128)
         assert online.num_replacements >= 1
         assert online.migration_stall_s == pytest.approx(
             sum(e.stall_s for e in online.events)
@@ -675,12 +689,11 @@ class TestOnlineServing:
         policy = ReplacementPolicy(
             check_every_steps=4, min_effective_tokens=32, cooldown_steps=4
         )
-        online = _simulate_online_cluster_serving(
-            model, cluster, serving, drift="abrupt", policy=policy, halflife_tokens=64
-        )
+        online = _online(model, cluster, serving, "abrupt", policy, halflife_tokens=64)
         if online.events:
-            assert online.serving.makespan_s >= online.serving.busy_s
-            assert online.serving.utilization < 1.0 or online.migration_stall_s == 0
+            replica = online.replicas[0]
+            assert online.makespan_s >= replica.busy_s
+            assert replica.utilization < 1.0 or online.migration_stall_s == 0
 
     def test_empty_requests(self, small_model, small_cluster):
         drift = make_drift_scenario(
@@ -689,10 +702,9 @@ class TestOnlineServing:
         placement = vanilla_placement(
             small_model.num_moe_layers, small_model.num_experts, small_cluster.num_gpus
         )
-        res = _simulate_online_serving(
-            [], small_model, small_cluster, drift, placement
-        )
-        assert res.serving.completed == () and res.kept_timeline == ()
+        res = _one_replica([], small_model, small_cluster, drift, placement)
+        assert res.completed == () and res.kept_timeline == () and res.events == ()
+        assert res.final_placement is placement
 
     def test_drift_shape_mismatch_rejected(self, small_model, small_cluster):
         drift = make_drift_scenario("none", 16, 4, horizon_s=1.0)
@@ -700,7 +712,7 @@ class TestOnlineServing:
             small_model.num_moe_layers, small_model.num_experts, small_cluster.num_gpus
         )
         with pytest.raises(ValueError):
-            _simulate_online_serving(
+            _one_replica(
                 poisson_arrivals(ServingConfig(num_requests=4)),
                 small_model,
                 small_cluster,
@@ -712,7 +724,7 @@ class TestOnlineServing:
         """Without drift the kept-mass timeline is flat (placement stays
         matched to traffic) — the control arm of the whole subsystem."""
         model, cluster, serving = setup
-        res = _simulate_online_cluster_serving(model, cluster, serving, drift="none")
+        res = _online(model, cluster, serving, "none")
         kepts = [s.true_kept for s in res.kept_timeline]
         assert max(kepts) - min(kepts) < 1e-9
 
