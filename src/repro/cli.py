@@ -230,7 +230,7 @@ def _print_fleet_result(scenario: Scenario, res: Any, title: str) -> None:
             res.latency.p99_s * 1e3,
             f"{res.slo_attainment.get('interactive', 1.0):.1%}",
             res.throughput_rps,
-            res.gpu_hours,
+            f"{res.gpu_hours:.3g}",
             res.usd_per_million_tokens,
         ]
     ]
@@ -263,7 +263,7 @@ def _print_fleet_result(scenario: Scenario, res: Any, title: str) -> None:
             s.mean_batch_size,
             f"{s.utilization:.1%}",
             s.busy_s,
-            s.gpu_hours,
+            f"{s.gpu_hours:.3g}",
             s.replacements,
         ]
         for s in res.replicas

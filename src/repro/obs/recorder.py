@@ -25,16 +25,23 @@ dispatch entirely when no recorder is attached; a bare
   horizon up front and identical hook streams always produce identical
   timelines;
 * bounded span logs (decode steps, replica boot/drain, request
-  queue/decode lifecycles, shed instants, scale events) that
-  :mod:`repro.obs.trace` turns into Chrome-trace JSON.
+  queue/decode lifecycles, shed instants, chaos faults, scale events)
+  that :mod:`repro.obs.trace` turns into Chrome-trace JSON.
+
+Two tables declare both, once: ``_WINDOW_COUNTERS`` and
+``_WINDOW_SNAPSHOTS`` are the timeline's columns, ``_SPAN_KINDS`` the
+span kinds with their Chrome-trace category, phase and argument names.
+A new column or span kind is one table row plus the hook that feeds it.
 
 :class:`TeeRecorder` fans one hook stream out to several recorders.
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.config import ClusterConfig
 
@@ -151,41 +158,113 @@ def run_meta(cluster: ClusterConfig) -> dict[str, float]:
     return {"num_gpus": float(cluster.num_gpus), "gpu_hour_usd": float(cluster.gpu_hour_usd)}
 
 
+@dataclass(slots=True)
 class _ReplicaTrack:
     """Live mirror of one replica's externally-visible counters."""
 
-    __slots__ = (
-        "rid",
-        "regime",
-        "state",
-        "ready_s",
-        "billed_from_s",
-        "stopped_s",
-        "drain_from_s",
-        "queue",
-        "active",
-        "busy_s",
-        "steps",
-        "admitted",
-        "completed",
-        "tokens",
-    )
+    rid: int
+    regime: int
+    state: str
+    ready_s: float
+    billed_from_s: float
+    stopped_s: float | None = None
+    drain_from_s: float | None = None
+    queue: int = 0
+    active: int = 0
+    busy_s: float = 0.0
+    steps: int = 0
+    admitted: int = 0
+    completed: int = 0
+    tokens: int = 0
 
-    def __init__(self, rid: int, regime: int, state: str, ready_s: float, billed_from_s: float):
-        self.rid = rid
-        self.regime = regime
-        self.state = state
-        self.ready_s = ready_s
-        self.billed_from_s = billed_from_s
-        self.stopped_s: float | None = None
-        self.drain_from_s: float | None = None
-        self.queue = 0
-        self.active = 0
-        self.busy_s = 0.0
-        self.steps = 0
-        self.admitted = 0
-        self.completed = 0
-        self.tokens = 0
+
+class _SpanKind(NamedTuple):
+    """One span log of :class:`TimelineRecorder` and its Chrome-trace form.
+
+    A row is ``(tid, ts_s, *values)`` for an instant (``ph`` ``"i"``) and
+    ``(tid, ts_s, dur_s, *values)`` for a complete span (``"X"``) or an
+    async request span (``"b"``: a ``b``/``e`` pair keyed by its first
+    value, the request id).  ``args`` names the values; a ``{}`` in an
+    instant's ``name`` is filled from its first value, which is then no
+    argument.
+    """
+
+    name: str
+    cat: str
+    ph: str
+    args: tuple[str, ...] = ()
+
+
+#: Every span kind, in Chrome-trace export order: the one place a span
+#: kind is declared.  Hooks append rows under these keys.
+_SPAN_KINDS: dict[str, _SpanKind] = {
+    "step": _SpanKind("step", "replica", "X", ("batch",)),
+    "boot": _SpanKind("boot", "replica", "X"),
+    "drain": _SpanKind("drain", "replica", "X"),
+    "queue": _SpanKind("queue", "request", "b", ("req", "replica")),
+    "decode": _SpanKind("decode", "request", "b", ("req", "replica")),
+    "shed": _SpanKind("shed", "admission", "i", ("req", "reason")),
+    "outage": _SpanKind("outage", "chaos", "X"),
+    "preempt": _SpanKind("preempt", "chaos", "i", ("grace_s",)),
+    "fail": _SpanKind("fail", "chaos", "i", ("kind", "lost_active", "lost_queued")),
+    "retry": _SpanKind("retry", "chaos", "i", ("req", "attempt", "delay_s")),
+    "lost": _SpanKind("lost", "chaos", "i", ("req", "attempts", "reason")),
+    "scale": _SpanKind(
+        "scale-{}",
+        "autoscaler",
+        "i",
+        ("queue_per_replica", "replicas_before", "replicas_after", "cold_start_s"),
+    ),
+}
+
+
+class _Snapshot(NamedTuple):
+    """A window column read off the recorder at each closed boundary."""
+
+    read: Callable[[TimelineRecorder, float], Any]
+    #: per-replica columns (lists): pad for replicas that start later
+    pad: int | float | None = None
+    #: also publish the per-boundary sum as ``<name>_total``
+    total: bool = False
+
+
+def _census(state: str) -> _Snapshot:
+    return _Snapshot(lambda rec, b_s: [r.state for r in rec._reps].count(state))
+
+
+#: Window counters, name -> (zero, pair-merge): hooks add to the open
+#: window's counter, and closed windows merge pairwise when the window
+#: doubles.  With the snapshots below, this is the one place a timeline
+#: column is declared; ``timeline()["windows"]`` lists counters first.
+_WINDOW_COUNTERS: dict[str, tuple[int | float, Callable[[Any, Any], Any]]] = {
+    "admitted": (0, operator.add),
+    "completed": (0, operator.add),
+    "shed": (0, operator.add),
+    "lost": (0, operator.add),
+    "slow": (0, operator.add),
+    "latency_sum_s": (0.0, operator.add),  # published as latency_mean_s
+    "latency_max_s": (0.0, max),
+}
+
+#: Window snapshots: on doubling, every second boundary's is kept.
+_WINDOW_SNAPSHOTS: dict[str, _Snapshot] = {
+    "queue": _Snapshot(lambda rec, b_s: [r.queue for r in rec._reps], pad=0, total=True),
+    "active": _Snapshot(lambda rec, b_s: [r.active for r in rec._reps], pad=0, total=True),
+    "busy_s": _Snapshot(lambda rec, b_s: [r.busy_s for r in rec._reps], pad=0.0),
+    "routable": _census("running"),
+    "booting": _census("booting"),
+    "draining": _census("draining"),
+    "failed": _census("failed"),
+    "cum_admitted": _Snapshot(lambda rec, b_s: rec._totals["admitted"]),
+    "cum_completed": _Snapshot(lambda rec, b_s: rec._totals["completed"]),
+    "cum_shed": _Snapshot(lambda rec, b_s: rec._totals["shed"]),
+    "cost_usd": _Snapshot(lambda rec, b_s: rec._cost_usd_at(b_s)),
+}
+
+_OPEN_WINDOW = {name: zero for name, (zero, _) in _WINDOW_COUNTERS.items()}
+_MERGES = tuple(merge for _, merge in _WINDOW_COUNTERS.values())
+_READS = tuple(col.read for col in _WINDOW_SNAPSHOTS.values())
+_N_COUNTERS = len(_WINDOW_COUNTERS)
 
 
 class TimelineRecorder(MetricsRecorder):
@@ -233,61 +312,16 @@ class TimelineRecorder(MetricsRecorder):
         self._meta: dict[str, float] = {}
         self._reps: list[_ReplicaTrack] = []
 
-        # closed-boundary snapshot columns (one entry per emitted boundary)
-        self._b_t: list[float] = []
-        self._b_queue: list[list[int]] = []
-        self._b_active: list[list[int]] = []
-        self._b_busy: list[list[float]] = []
-        self._b_routable: list[int] = []
-        self._b_booting: list[int] = []
-        self._b_draining: list[int] = []
-        self._b_failed: list[int] = []
-        self._b_cost: list[float] = []
-        self._b_cum_admitted: list[int] = []
-        self._b_cum_completed: list[int] = []
-        self._b_cum_shed: list[int] = []
+        # closed windows, one row each: (boundary_s, *counters, *snapshots)
+        self._windows: list[tuple[Any, ...]] = []
+        self._win = dict(_OPEN_WINDOW)  # the open window's counters
+        # cumulative totals, in timeline()["totals"] order
+        self._totals = dict.fromkeys(
+            ("admitted", "completed", "shed", "failures", "retries", "lost", "slow"), 0
+        )
 
-        # closed-window counters (parallel to the boundary columns)
-        self._w_admitted: list[int] = []
-        self._w_completed: list[int] = []
-        self._w_shed: list[int] = []
-        self._w_lost: list[int] = []
-        self._w_slow: list[int] = []
-        self._w_lat_sum: list[float] = []
-        self._w_lat_max: list[float] = []
-
-        # open-window accumulators
-        self._win_admitted = 0
-        self._win_completed = 0
-        self._win_shed = 0
-        self._win_lost = 0
-        self._win_slow = 0
-        self._win_lat_sum = 0.0
-        self._win_lat_max = 0.0
-
-        # cumulative totals
-        self._cum_admitted = 0
-        self._cum_completed = 0
-        self._cum_shed = 0
-        self._cum_failures = 0
-        self._cum_retries = 0
-        self._cum_lost = 0
-        self._cum_slow = 0
-
-        # span logs (consumed by repro.obs.trace)
-        self._span_steps: list[tuple[int, float, float, int]] = []  # rid, start_s, dur_s, batch
-        self._span_boots: list[tuple[int, float, float]] = []  # rid, start_s, dur_s
-        self._span_drains: list[tuple[int, float, float]] = []
-        self._span_queue: list[tuple[int, int, float, float]] = []  # req, rid, start_s, dur_s
-        self._span_decode: list[tuple[int, int, float, float]] = []
-        self._span_sheds: list[tuple[float, int, int, str]] = []  # t_s, req, rid(-1=none), reason
-        self._scale_events: list[tuple[float, str, float, int, int, float]] = []
-        # chaos span logs: preempt/fail/retry/lost instants + outage windows
-        self._span_preempts: list[tuple[float, int, float]] = []  # t_s, rid, grace_s
-        self._span_fails: list[tuple[float, int, str, int, int]] = []  # t, rid, kind, act, q
-        self._span_retries: list[tuple[float, int, int, int, float]] = []  # t, req, rid, n, delay
-        self._span_losts: list[tuple[float, int, int, int, str]] = []  # t, req, rid, n, reason
-        self._span_outages: list[tuple[int, float, float]] = []  # rid, start_s, dur_s
+        # span logs, one flat row per span (consumed by repro.obs.trace)
+        self._span_rows: dict[str, list[tuple[Any, ...]]] = {k: [] for k in _SPAN_KINDS}
         self._open_outage: dict[int, float] = {}
         self._open_queue: dict[int, float] = {}
         self._open_decode: dict[int, tuple[float, int]] = {}
@@ -304,7 +338,7 @@ class TimelineRecorder(MetricsRecorder):
     def t_end_s(self) -> float:
         if self._t_end is not None:
             return self._t_end
-        return self._b_t[-1] if self._b_t else self.t0_s
+        return float(self._windows[-1][0]) if self._windows else self.t0_s
 
     @property
     def window_s(self) -> float:
@@ -331,100 +365,53 @@ class TimelineRecorder(MetricsRecorder):
         self.dropped_span_events += 1
         return False
 
+    def _span(self, kind: str, *row: Any) -> bool:
+        """Log one ``kind`` row if the span budget allows; report whether it did."""
+        if self._take_span_budget():
+            self._span_rows[kind].append(row)
+            return True
+        return False
+
     def _cost_usd_at(self, b_s: float) -> float:
         gpus = self._meta.get("num_gpus", 0.0)
         usd_hour = self._meta.get("gpu_hour_usd", 0.0)
         if gpus <= 0.0 or usd_hour <= 0.0:
             return 0.0
         hours = 0.0
-        for r in self._reps:
-            stop_s = r.stopped_s if r.stopped_s is not None else b_s
-            hours += max(0.0, min(b_s, stop_s) - r.billed_from_s)
+        for r in self._reps:  # runs at every boundary: no min/max calls
+            stop_s = r.stopped_s if r.stopped_s is not None and r.stopped_s < b_s else b_s
+            if stop_s > r.billed_from_s:
+                hours += stop_s - r.billed_from_s
         return hours * gpus * usd_hour / 3600.0
 
     def _emit_boundary(self, b_s: float) -> None:
-        reps = self._reps
-        self._b_t.append(b_s)
-        self._b_queue.append([r.queue for r in reps])
-        self._b_active.append([r.active for r in reps])
-        self._b_busy.append([r.busy_s for r in reps])
-        self._b_routable.append(sum(1 for r in reps if r.state == "running"))
-        self._b_booting.append(sum(1 for r in reps if r.state == "booting"))
-        self._b_draining.append(sum(1 for r in reps if r.state == "draining"))
-        self._b_failed.append(sum(1 for r in reps if r.state == "failed"))
-        self._b_cost.append(self._cost_usd_at(b_s))
-        self._b_cum_admitted.append(self._cum_admitted)
-        self._b_cum_completed.append(self._cum_completed)
-        self._b_cum_shed.append(self._cum_shed)
-        self._w_admitted.append(self._win_admitted)
-        self._w_completed.append(self._win_completed)
-        self._w_shed.append(self._win_shed)
-        self._w_lost.append(self._win_lost)
-        self._w_slow.append(self._win_slow)
-        self._w_lat_sum.append(self._win_lat_sum)
-        self._w_lat_max.append(self._win_lat_max)
-        self._win_admitted = 0
-        self._win_completed = 0
-        self._win_shed = 0
-        self._win_lost = 0
-        self._win_slow = 0
-        self._win_lat_sum = 0.0
-        self._win_lat_max = 0.0
+        snaps = [read(self, b_s) for read in _READS]
+        self._windows.append((b_s, *self._win.values(), *snaps))
+        self._win = dict(_OPEN_WINDOW)
 
     def _double_window(self) -> None:
         """Double the window width, pair-merging already-closed windows."""
-        if len(self._b_t) % 2:
-            # fold the dangling newest sample back into the open window;
-            # its snapshot is discarded (snapshots are instantaneous)
-            self._b_t.pop()
-            self._b_queue.pop()
-            self._b_active.pop()
-            self._b_busy.pop()
-            self._b_routable.pop()
-            self._b_booting.pop()
-            self._b_draining.pop()
-            self._b_failed.pop()
-            self._b_cost.pop()
-            self._b_cum_admitted.pop()
-            self._b_cum_completed.pop()
-            self._b_cum_shed.pop()
-            self._win_admitted += self._w_admitted.pop()
-            self._win_completed += self._w_completed.pop()
-            self._win_shed += self._w_shed.pop()
-            self._win_lost += self._w_lost.pop()
-            self._win_slow += self._w_slow.pop()
-            self._win_lat_sum += self._w_lat_sum.pop()
-            self._win_lat_max = max(self._win_lat_max, self._w_lat_max.pop())
-        # keep every second boundary (they sit on the doubled grid) ...
-        self._b_t = self._b_t[1::2]
-        self._b_queue = self._b_queue[1::2]
-        self._b_active = self._b_active[1::2]
-        self._b_busy = self._b_busy[1::2]
-        self._b_routable = self._b_routable[1::2]
-        self._b_booting = self._b_booting[1::2]
-        self._b_draining = self._b_draining[1::2]
-        self._b_failed = self._b_failed[1::2]
-        self._b_cost = self._b_cost[1::2]
-        self._b_cum_admitted = self._b_cum_admitted[1::2]
-        self._b_cum_completed = self._b_cum_completed[1::2]
-        self._b_cum_shed = self._b_cum_shed[1::2]
-        # ... and pair-sum the closed windows
-        self._w_admitted = [
-            a + b for a, b in zip(self._w_admitted[0::2], self._w_admitted[1::2], strict=True)
-        ]
-        self._w_completed = [
-            a + b for a, b in zip(self._w_completed[0::2], self._w_completed[1::2], strict=True)
-        ]
-        self._w_shed = [a + b for a, b in zip(self._w_shed[0::2], self._w_shed[1::2], strict=True)]
-        self._w_lost = [a + b for a, b in zip(self._w_lost[0::2], self._w_lost[1::2], strict=True)]
-        self._w_slow = [a + b for a, b in zip(self._w_slow[0::2], self._w_slow[1::2], strict=True)]
-        self._w_lat_sum = [
-            a + b for a, b in zip(self._w_lat_sum[0::2], self._w_lat_sum[1::2], strict=True)
-        ]
-        self._w_lat_max = [
-            max(a, b) for a, b in zip(self._w_lat_max[0::2], self._w_lat_max[1::2], strict=True)
-        ]
+        if len(self._windows) % 2:
+            # fold the dangling newest window's counters back into the open
+            # window; its snapshot is discarded (snapshots are instantaneous)
+            last = self._windows.pop()[1 : 1 + _N_COUNTERS]
+            self._win = {
+                k: merge(v, w)
+                for (k, v), merge, w in zip(self._win.items(), _MERGES, last, strict=True)
+            }
+        # keep every second boundary (they sit on the doubled grid) and
+        # pair-merge the closed windows' counters
+        b_t, counters, snapshots = self._columns()
+        merged = [map(m, c[0::2], c[1::2]) for m, c in zip(_MERGES, counters, strict=True)]
+        kept = [c[1::2] for c in snapshots]
+        self._windows = list(zip(b_t[1::2], *merged, *kept, strict=True))
         self._window_s *= 2.0
+
+    def _columns(self) -> tuple[tuple[Any, ...], list[tuple[Any, ...]], list[tuple[Any, ...]]]:
+        """The closed windows as columns: boundary times, counters, snapshots."""
+        n_cols = 1 + _N_COUNTERS + len(_WINDOW_SNAPSHOTS)
+        b_t, *cols = list(zip(*self._windows, strict=True)) or [() for _ in range(n_cols)]
+        return b_t, cols[:_N_COUNTERS], cols[_N_COUNTERS:]
 
     def _flush(self, t_s: float) -> None:
         """Close every window boundary strictly before ``t_s``."""
@@ -434,8 +421,8 @@ class TimelineRecorder(MetricsRecorder):
         if self._explicit_window is None:
             while t_s - t0 > 2.0 * self._max_windows * self._window_s:
                 self._double_window()
-        while t0 + (len(self._b_t) + 1) * self._window_s < t_s:
-            self._emit_boundary(t0 + (len(self._b_t) + 1) * self._window_s)
+        while t0 + (len(self._windows) + 1) * self._window_s < t_s:
+            self._emit_boundary(t0 + (len(self._windows) + 1) * self._window_s)
 
     # -- MetricsRecorder hooks ---------------------------------------------
 
@@ -453,8 +440,8 @@ class TimelineRecorder(MetricsRecorder):
             raise ValueError(f"replica ids must arrive densely; got {rid}, expected {len(self._reps)}")
         state = "booting" if booting else "running"
         self._reps.append(_ReplicaTrack(rid, regime, state, ready_s, billed_from_s))
-        if booting and self._take_span_budget():
-            self._span_boots.append((rid, t_s, max(0.0, ready_s - t_s)))
+        if booting:
+            self._span("boot", rid, t_s, max(0.0, ready_s - t_s))
 
     def on_boot_ready(self, t_s: float, rid: int) -> None:
         self._flush(t_s)
@@ -471,8 +458,9 @@ class TimelineRecorder(MetricsRecorder):
         r = self._reps[rid]
         r.state = "stopped"
         r.stopped_s = t_s
-        if r.drain_from_s is not None and self._take_span_budget():
-            self._span_drains.append((rid, r.drain_from_s, t_s - r.drain_from_s))
+        if r.drain_from_s is not None and self._span(
+            "drain", rid, r.drain_from_s, t_s - r.drain_from_s
+        ):
             r.drain_from_s = None
 
     def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None:
@@ -488,10 +476,9 @@ class TimelineRecorder(MetricsRecorder):
 
     def on_shed(self, t_s: float, req_id: int, rid: int | None, reason: str) -> None:
         self._flush(t_s)
-        self._cum_shed += 1
-        self._win_shed += 1
-        if self._take_span_budget():
-            self._span_sheds.append((t_s, req_id, -1 if rid is None else rid, reason))
+        self._totals["shed"] += 1
+        self._win["shed"] += 1
+        self._span("shed", 0 if rid is None else rid, t_s, req_id, reason)
 
     def on_admit(self, t_s: float, rid: int, req_ids: Sequence[int], admission_s: float) -> None:
         self._flush(t_s)
@@ -501,13 +488,13 @@ class TimelineRecorder(MetricsRecorder):
         r.active += n
         r.busy_s += admission_s
         r.admitted += n
-        self._cum_admitted += n
-        self._win_admitted += n
+        self._totals["admitted"] += n
+        self._win["admitted"] += n
         if self._spans:
             for req_id in req_ids:
                 start_s = self._open_queue.pop(req_id, None)
-                if start_s is not None and self._take_span_budget():
-                    self._span_queue.append((req_id, rid, start_s, t_s - start_s))
+                if start_s is not None:
+                    self._span("queue", rid, start_s, t_s - start_s, req_id, rid)
                 if self._take_span_budget():
                     self._open_decode[req_id] = (t_s, rid)
 
@@ -516,21 +503,21 @@ class TimelineRecorder(MetricsRecorder):
         r = self._reps[rid]
         r.busy_s += step_s
         r.steps += 1
-        if self._take_span_budget():
-            self._span_steps.append((rid, t_s - step_s, step_s, batch))
+        self._span("step", rid, t_s - step_s, step_s, batch)
 
     def on_complete(
         self, t_s: float, rid: int, req_id: int, arrival_s: float, admitted_s: float, tokens: int
     ) -> None:
         self._flush(t_s)
         latency_s = t_s - arrival_s
-        self._cum_completed += 1
-        self._win_completed += 1
-        self._win_lat_sum += latency_s
-        self._win_lat_max = max(self._win_lat_max, latency_s)
+        win = self._win
+        self._totals["completed"] += 1
+        win["completed"] += 1
+        win["latency_sum_s"] += latency_s
+        win["latency_max_s"] = max(win["latency_max_s"], latency_s)
         if self._slow_latency_s is not None and latency_s > self._slow_latency_s:
-            self._cum_slow += 1
-            self._win_slow += 1
+            self._totals["slow"] += 1
+            win["slow"] += 1
         r = self._reps[rid]
         r.active -= 1
         r.completed += 1
@@ -539,7 +526,7 @@ class TimelineRecorder(MetricsRecorder):
             opened = self._open_decode.pop(req_id, None)
             if opened is not None:
                 start_s, _ = opened
-                self._span_decode.append((req_id, rid, start_s, t_s - start_s))
+                self._span_rows["decode"].append((rid, start_s, t_s - start_s, req_id, rid))
 
     def on_scale(
         self,
@@ -551,8 +538,8 @@ class TimelineRecorder(MetricsRecorder):
         cold_start_s: float,
     ) -> None:
         self._flush(t_s)
-        self._scale_events.append(
-            (t_s, direction, queue_per_replica, replicas_before, replicas_after, cold_start_s)
+        self._span_rows["scale"].append(
+            (0, t_s, direction, queue_per_replica, replicas_before, replicas_after, cold_start_s)
         )
 
     def on_preempt(self, t_s: float, rid: int, grace_s: float) -> None:
@@ -560,8 +547,7 @@ class TimelineRecorder(MetricsRecorder):
         r = self._reps[rid]
         r.state = "draining"
         r.drain_from_s = t_s
-        if self._take_span_budget():
-            self._span_preempts.append((t_s, rid, grace_s))
+        self._span("preempt", rid, t_s, grace_s)
 
     def on_fail(
         self, t_s: float, rid: int, kind: str, lost_active: int, lost_queued: int
@@ -571,14 +557,12 @@ class TimelineRecorder(MetricsRecorder):
         self._flush(t_s)
         r = self._reps[rid]
         if r.drain_from_s is not None:
-            if self._take_span_budget():
-                self._span_drains.append((rid, r.drain_from_s, t_s - r.drain_from_s))
+            self._span("drain", rid, r.drain_from_s, t_s - r.drain_from_s)
             r.drain_from_s = None
         r.state = "failed"
         r.stopped_s = t_s
-        self._cum_failures += 1
-        if self._take_span_budget():
-            self._span_fails.append((t_s, rid, kind, lost_active, lost_queued))
+        self._totals["failures"] += 1
+        self._span("fail", rid, t_s, kind, lost_active, lost_queued)
         if self._spans:
             self._open_outage[rid] = t_s
 
@@ -591,13 +575,12 @@ class TimelineRecorder(MetricsRecorder):
             r.active -= 1
         else:
             r.queue -= 1
-        self._cum_retries += 1
+        self._totals["retries"] += 1
         if self._spans:
             # the aborted attempt's decode span is discarded (it produced
             # nothing); a still-queued request keeps its original wait start
             self._open_decode.pop(req_id, None)
-        if self._take_span_budget():
-            self._span_retries.append((t_s, req_id, rid, attempt, delay_s))
+        self._span("retry", rid, t_s, req_id, attempt, delay_s)
 
     def on_lost(
         self, t_s: float, req_id: int, rid: int, attempts: int, reason: str, was_active: bool
@@ -608,31 +591,30 @@ class TimelineRecorder(MetricsRecorder):
             r.active -= 1
         else:
             r.queue -= 1
-        self._cum_lost += 1
-        self._win_lost += 1
+        self._totals["lost"] += 1
+        self._win["lost"] += 1
         if self._spans:
             self._open_decode.pop(req_id, None)
             self._open_queue.pop(req_id, None)
-        if self._take_span_budget():
-            self._span_losts.append((t_s, req_id, rid, attempts, reason))
+        self._span("lost", rid, t_s, req_id, attempts, reason)
 
     def on_recover(self, t_s: float, rid: int, for_rid: int, cold_start_s: float) -> None:
         self._flush(t_s)
         start_s = self._open_outage.pop(for_rid, None)
-        if start_s is not None and self._take_span_budget():
-            self._span_outages.append((for_rid, start_s, t_s - start_s))
+        if start_s is not None:
+            self._span("outage", for_rid, start_s, t_s - start_s)
 
     def on_run_end(self, t_s: float) -> None:
         self._flush(t_s)
-        if not self._b_t or self._b_t[-1] < t_s:
+        if not self._windows or self._windows[-1][0] < t_s:
             self._emit_boundary(t_s)  # final (possibly partial) window
         for r in self._reps:
-            if r.drain_from_s is not None and self._take_span_budget():
-                self._span_drains.append((r.rid, r.drain_from_s, t_s - r.drain_from_s))
+            if r.drain_from_s is not None and self._span(
+                "drain", r.rid, r.drain_from_s, t_s - r.drain_from_s
+            ):
                 r.drain_from_s = None
         for rid in sorted(self._open_outage):  # unrecovered failures span to run end
-            if self._take_span_budget():
-                self._span_outages.append((rid, self._open_outage[rid], t_s - self._open_outage[rid]))
+            self._span("outage", rid, self._open_outage[rid], t_s - self._open_outage[rid])
         self._open_outage.clear()
         self._t_end = t_s
 
@@ -663,58 +645,41 @@ class TimelineRecorder(MetricsRecorder):
             )
         return rows
 
+    def span_rows(self) -> list[tuple[_SpanKind, list[tuple[Any, ...]]]]:
+        """Every span log with its kind, in span-kind declaration order."""
+        return [(_SPAN_KINDS[k], rows) for k, rows in self._span_rows.items()]
+
     def timeline(self) -> dict[str, object]:
         """The per-window time-series document (JSON-ready, deterministic)."""
         t0 = self.t0_s
         n_reps = len(self._reps)
-
-        def padded(cols: list[list[int]] | list[list[float]], fill: int | float) -> list[list[int | float]]:
-            return [[*col, *([fill] * (n_reps - len(col)))] for col in cols]
-
-        lat_mean = [
-            (s / c if c else 0.0) for s, c in zip(self._w_lat_sum, self._w_completed, strict=True)
-        ]
+        b_t, counters, snapshots = self._columns()
+        windows: dict[str, list[Any]] = {}
+        for name, col in zip(_WINDOW_COUNTERS, counters, strict=True):
+            if name == "latency_sum_s":
+                completed = windows["completed"]
+                name, col = "latency_mean_s", tuple(
+                    (s / c if c else 0.0) for s, c in zip(col, completed, strict=True)
+                )
+            windows[name] = list(col)
+        per_replica: dict[str, list[Any]] = {}
+        for (name, snap), col in zip(_WINDOW_SNAPSHOTS.items(), snapshots, strict=True):
+            if snap.pad is None:
+                windows[name] = list(col)
+                continue
+            if snap.total:
+                windows[f"{name}_total"] = [sum(v) for v in col]
+            per_replica[name] = [[*v, *([snap.pad] * (n_reps - len(v)))] for v in col]
         return {
             "t0_s": t0,
             "t_end_s": self.t_end_s,
             "window_s": self._window_s,
-            "num_windows": len(self._b_t),
+            "num_windows": len(self._windows),
             "num_replicas": n_reps,
-            "time_s": [b - t0 for b in self._b_t],
-            "totals": {
-                "admitted": self._cum_admitted,
-                "completed": self._cum_completed,
-                "shed": self._cum_shed,
-                "failures": self._cum_failures,
-                "retries": self._cum_retries,
-                "lost": self._cum_lost,
-                "slow": self._cum_slow,
-                "dropped_span_events": self.dropped_span_events,
-            },
-            "windows": {
-                "admitted": list(self._w_admitted),
-                "completed": list(self._w_completed),
-                "shed": list(self._w_shed),
-                "lost": list(self._w_lost),
-                "slow": list(self._w_slow),
-                "latency_mean_s": lat_mean,
-                "latency_max_s": list(self._w_lat_max),
-                "queue_total": [sum(q) for q in self._b_queue],
-                "active_total": [sum(a) for a in self._b_active],
-                "routable": list(self._b_routable),
-                "booting": list(self._b_booting),
-                "draining": list(self._b_draining),
-                "failed": list(self._b_failed),
-                "cum_admitted": list(self._b_cum_admitted),
-                "cum_completed": list(self._b_cum_completed),
-                "cum_shed": list(self._b_cum_shed),
-                "cost_usd": list(self._b_cost),
-            },
-            "per_replica": {
-                "queue": padded(self._b_queue, 0),
-                "active": padded(self._b_active, 0),
-                "busy_s": padded(self._b_busy, 0.0),
-            },
+            "time_s": [b - t0 for b in b_t],
+            "totals": {**self._totals, "dropped_span_events": self.dropped_span_events},
+            "windows": windows,
+            "per_replica": per_replica,
             "replicas": self.replica_rows(),
         }
 

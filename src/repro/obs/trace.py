@@ -2,7 +2,9 @@
 
 The output follows the Trace Event Format accepted by ``chrome://tracing``
 and https://ui.perfetto.dev — a ``{"traceEvents": [...]}`` document whose
-timestamps are microseconds relative to the run's first arrival:
+timestamps are microseconds relative to the run's first arrival.  The
+span events are one walk over the recorder's span-kind table (see
+:mod:`repro.obs.recorder`), in its declaration order:
 
 * decode steps, replica boots and drains are complete-spans (``ph: "X"``)
   on ``pid 0`` ("fleet"), one thread track per replica;
@@ -43,6 +45,14 @@ def _meta(name: str, pid: int, tid: int, value: str) -> dict[str, object]:
     return {"name": name, "ph": "M", "pid": pid, "tid": tid, "ts": 0, "args": {"name": value}}
 
 
+def _complete(
+    name: str, cat: str, tid: int, ts_us: float, dur_s: float, args: dict[str, object]
+) -> dict[str, object]:
+    """A complete-span event (``ph: "X"``) on the fleet process, track ``tid``."""
+    return {"name": name, "cat": cat, "ph": "X", "pid": _FLEET_PID, "tid": tid, "ts": ts_us,
+            "dur": round(max(0.0, dur_s) * 1e6, 3), "args": args}
+
+
 def chrome_trace(
     rec: TimelineRecorder,
     *,
@@ -72,165 +82,34 @@ def chrome_trace(
             _meta("thread_name", _FLEET_PID, rid, f"replica {rid} (regime {row['regime']})")
         )
 
-    for rid, start_s, dur_s, batch in rec._span_steps:
-        evs.append(
-            {
-                "name": "step",
-                "cat": "replica",
-                "ph": "X",
-                "pid": _FLEET_PID,
-                "tid": rid,
-                "ts": us(start_s),
-                "dur": round(max(0.0, dur_s) * 1e6, 3),
-                "args": {"batch": batch},
-            }
-        )
-    for name, spans in (("boot", rec._span_boots), ("drain", rec._span_drains)):
-        for rid, start_s, dur_s in spans:
-            evs.append(
-                {
-                    "name": name,
-                    "cat": "replica",
-                    "ph": "X",
-                    "pid": _FLEET_PID,
-                    "tid": rid,
-                    "ts": us(start_s),
-                    "dur": round(max(0.0, dur_s) * 1e6, 3),
-                    "args": {},
-                }
-            )
-
-    for name, req_spans in (("queue", rec._span_queue), ("decode", rec._span_decode)):
-        for req_id, rid, start_s, dur_s in req_spans:
-            common = {
-                "name": name,
-                "cat": "request",
-                "id": str(req_id),
-                "pid": _REQUESTS_PID,
-                "tid": rid,
-                "args": {"req": req_id, "replica": rid},
-            }
-            evs.append({**common, "ph": "b", "ts": us(start_s)})
-            evs.append({**common, "ph": "e", "ts": us(start_s + max(0.0, dur_s))})
-
-    for t_s, req_id, rid, reason in rec._span_sheds:
-        evs.append(
-            {
-                "name": "shed",
-                "cat": "admission",
-                "ph": "i",
-                "s": "g",
-                "pid": _FLEET_PID,
-                "tid": max(0, rid),
-                "ts": us(t_s),
-                "args": {"req": req_id, "reason": reason},
-            }
-        )
-    for rid, start_s, dur_s in rec._span_outages:
-        evs.append(
-            {
-                "name": "outage",
-                "cat": "chaos",
-                "ph": "X",
-                "pid": _FLEET_PID,
-                "tid": rid,
-                "ts": us(start_s),
-                "dur": round(max(0.0, dur_s) * 1e6, 3),
-                "args": {},
-            }
-        )
-    for t_s, rid, grace_s in rec._span_preempts:
-        evs.append(
-            {
-                "name": "preempt",
-                "cat": "chaos",
-                "ph": "i",
-                "s": "g",
-                "pid": _FLEET_PID,
-                "tid": rid,
-                "ts": us(t_s),
-                "args": {"grace_s": grace_s},
-            }
-        )
-    for t_s, rid, kind, lost_active, lost_queued in rec._span_fails:
-        evs.append(
-            {
-                "name": "fail",
-                "cat": "chaos",
-                "ph": "i",
-                "s": "g",
-                "pid": _FLEET_PID,
-                "tid": rid,
-                "ts": us(t_s),
-                "args": {"kind": kind, "lost_active": lost_active, "lost_queued": lost_queued},
-            }
-        )
-    for t_s, req_id, rid, attempt, delay_s in rec._span_retries:
-        evs.append(
-            {
-                "name": "retry",
-                "cat": "chaos",
-                "ph": "i",
-                "s": "g",
-                "pid": _FLEET_PID,
-                "tid": rid,
-                "ts": us(t_s),
-                "args": {"req": req_id, "attempt": attempt, "delay_s": delay_s},
-            }
-        )
-    for t_s, req_id, rid, attempts, reason in rec._span_losts:
-        evs.append(
-            {
-                "name": "lost",
-                "cat": "chaos",
-                "ph": "i",
-                "s": "g",
-                "pid": _FLEET_PID,
-                "tid": rid,
-                "ts": us(t_s),
-                "args": {"req": req_id, "attempts": attempts, "reason": reason},
-            }
-        )
-    for t_s, direction, queue_per_replica, before, after, cold_start_s in rec._scale_events:
-        evs.append(
-            {
-                "name": f"scale-{direction}",
-                "cat": "autoscaler",
-                "ph": "i",
-                "s": "g",
-                "pid": _FLEET_PID,
-                "tid": 0,
-                "ts": us(t_s),
-                "args": {
-                    "queue_per_replica": queue_per_replica,
-                    "replicas_before": before,
-                    "replicas_after": after,
-                    "cold_start_s": cold_start_s,
-                },
-            }
-        )
+    for kind, log in rec.span_rows():
+        name, cat, ph, names = kind
+        if ph == "i":
+            # a {} in an instant's name takes the entry's first value (no argument then)
+            skip = name.count("{}")
+            for tid, ts_s, *vals in log:
+                evs.append(
+                    {"name": name.format(*vals[:skip]), "cat": cat, "ph": "i", "s": "g",
+                     "pid": _FLEET_PID, "tid": tid, "ts": us(ts_s),
+                     "args": dict(zip(names, vals[skip:], strict=True))}
+                )
+        elif ph == "X":
+            for tid, ts_s, dur_s, *vals in log:
+                args = dict(zip(names, vals, strict=True))
+                evs.append(_complete(name, cat, tid, us(ts_s), dur_s, args))
+        else:  # async request spans: a b/e pair keyed by the request id
+            for tid, ts_s, dur_s, *vals in log:
+                common = {"name": name, "cat": cat, "id": str(vals[0]), "pid": _REQUESTS_PID,
+                          "tid": tid, "args": dict(zip(names, vals, strict=True))}
+                evs.append({**common, "ph": "b", "ts": us(ts_s)})
+                evs.append({**common, "ph": "e", "ts": us(ts_s + max(0.0, dur_s))})
 
     for span in alerts or ():
-        evs.append(
-            {
-                "name": f"{span.get('severity', 'alert')}:{span.get('signal', '?')}",
-                "cat": "alert",
-                "ph": "X",
-                "pid": _FLEET_PID,
-                "tid": 0,
-                "ts": us(float(span.get("open_s", t0_s))),  # type: ignore[arg-type]
-                "dur": round(
-                    max(0.0, float(span.get("close_s", 0.0)) - float(span.get("open_s", 0.0)))  # type: ignore[arg-type]
-                    * 1e6,
-                    3,
-                ),
-                "args": {
-                    "burn_at_open": span.get("burn_at_open"),
-                    "peak_burn": span.get("peak_burn"),
-                    "windows": span.get("windows"),
-                },
-            }
-        )
+        name = f"{span.get('severity', 'alert')}:{span.get('signal', '?')}"
+        ts_us = us(float(span.get("open_s", t0_s)))  # type: ignore[arg-type]
+        dur_s = float(span.get("close_s", 0.0)) - float(span.get("open_s", 0.0))  # type: ignore[arg-type]
+        args = {k: span.get(k) for k in ("burn_at_open", "peak_burn", "windows")}
+        evs.append(_complete(name, "alert", 0, ts_us, dur_s, args))
     if detections is not None:
         observed = (
             ("observed-outage", detections.get("outages")),
@@ -244,19 +123,9 @@ def chrome_trace(
                     continue
                 open_s = float(row.get("detected_s", 0.0))  # type: ignore[arg-type]
                 close_s = float(row.get("closed_s", open_s))  # type: ignore[arg-type]
+                tid = int(row.get("replica", 0))  # type: ignore[call-overload]
                 args = {k: v for k, v in row.items() if k not in ("detected_s", "closed_s")}
-                evs.append(
-                    {
-                        "name": name,
-                        "cat": "alert",
-                        "ph": "X",
-                        "pid": _FLEET_PID,
-                        "tid": int(row.get("replica", 0)),  # type: ignore[call-overload]
-                        "ts": us(open_s),
-                        "dur": round(max(0.0, close_s - open_s) * 1e6, 3),
-                        "args": args,
-                    }
-                )
+                evs.append(_complete(name, "alert", tid, us(open_s), close_s - open_s, args))
 
     timeline = rec.timeline()
     time_rel = timeline["time_s"]

@@ -378,8 +378,10 @@ def fleet_bad_day(autoscale: bool, smoke: bool) -> Scenario:
 
     The chaos schedule derives from the *nominal* horizon (requests /
     offered rate) so both arms of the benchmark — this autoscaled preset
-    and the static fleet ``bench_chaos.py`` derives from it with
-    ``dataclasses.replace`` — replay the exact same faults.  Retries use
+    and the static fleet ``bench_chaos.py`` builds with
+    ``fleet_bad_day(autoscale=False, ...)`` — replay the exact same
+    faults.  Only the autoscaled arm is a registered preset, so ``repro
+    run`` cannot reproduce the static arm by name.  Retries use
     a short backoff so re-admitted requests land inside the run.  The
     offered rate overloads the initial three replicas (~15k req/s each at
     smoke scale) so the arms separate: the static arm sheds at the queue

@@ -27,6 +27,19 @@ class TestRunCommand:
         assert "p95 ms" in out
         assert "$" in out
 
+    def test_fleet_tables_show_nonzero_gpu_hours(self, capsys):
+        # a smoke run bills ~1e-4 GPU-h; fixed decimals printed it as 0.000
+        assert main(["run", "serve-poisson-smoke"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        headers = [
+            i for i, line in enumerate(lines[:-1])
+            if "GPU-h" in line.split() and lines[i + 1].startswith("---")
+        ]
+        assert len(headers) == 2  # the fleet table and the per-replica table
+        for i in headers:
+            end = lines[i].index("GPU-h") + len("GPU-h")  # cells are right-justified
+            assert float(lines[i + 2][:end].split()[-1]) > 0.0
+
     def test_json_output_is_machine_readable(self, capsys):
         assert main(["run", "serve-bursty-smoke", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
