@@ -8,7 +8,7 @@ Model Inference" (Yao et al.), rebuilt as a self-contained simulation stack:
 * :mod:`repro.model` — numpy GPT MoE decoder (the checkpoint substrate).
 * :mod:`repro.trace` — routing traces, synthetic corpora, Markov generators.
 * :mod:`repro.core` — the paper's contribution: affinity estimation,
-  ILP-based expert placement, context coherence, the ExFlow facade.
+  ILP-based expert placement, online re-placement, the ExFlow facade.
 * :mod:`repro.engine` — distributed inference simulation + comparisons.
 * :mod:`repro.fleet` — multi-replica serving: router, admission, autoscaler.
 * :mod:`repro.obs` — observability: metric timelines, Chrome-trace export

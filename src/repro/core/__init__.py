@@ -1,4 +1,4 @@
-"""ExFlow core: affinity modelling, expert placement, context coherence.
+"""ExFlow core: affinity modelling, expert placement, online re-placement.
 
 This package implements the paper's primary contribution:
 
@@ -9,8 +9,6 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.placement` — expert-to-GPU placement strategies, from
   the DeepSpeed round-robin baseline to the integer-programming solution of
   formulas 8–12 and its staged (node-first) variant.
-* :mod:`repro.core.context` — token context coherence management (the
-  design that removes the second Alltoall of every MoE layer).
 * :mod:`repro.core.online` — online drift-aware re-placement: streaming
   kept-mass monitoring, the replacement trigger policy, warm-started
   re-solves and the explicit expert-migration cost model.
@@ -41,7 +39,6 @@ from repro.core.placement import (
     validate_replication_memory,
     SOLVERS,
 )
-from repro.core.context import ContextStore
 from repro.core.online import (
     OnlineReplacer,
     ReplacementEvent,
@@ -72,7 +69,6 @@ __all__ = [
     "solve_placement",
     "validate_replication_memory",
     "SOLVERS",
-    "ContextStore",
     "OnlineReplacer",
     "ReplacementEvent",
     "ReplacementPolicy",

@@ -22,7 +22,6 @@ from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.costs import CostModel
 from repro.engine.executor import simulate_inference
 from repro.engine.metrics import RunResult
-from repro.engine.reference import simulate_inference_reference
 from repro.engine.workload import DecodeWorkload, make_decode_workload
 from repro.trace.events import RoutingTrace
 
@@ -57,7 +56,6 @@ def compare_modes(
     affinity: float = 0.85,
     cost_model: CostModel | None = None,
     seed: int = 0,
-    engine: str = "vectorized",
 ) -> dict[str, ComparisonRow]:
     """Run vanilla / context-coherent / ExFlow on one frozen workload.
 
@@ -79,22 +77,11 @@ def compare_modes(
     placement_strategy:
         Solver for the ExFlow row (see
         :data:`repro.core.placement.SOLVERS`).
-    engine:
-        ``"vectorized"`` (default, the batched fast path) or
-        ``"reference"`` (the step-by-step oracle) — both produce identical
-        results; the switch exists for cross-checking and benchmarking.
 
     Returns
     -------
     dict with keys ``"deepspeed"``, ``"exflow-noaff"``, ``"exflow"``.
     """
-    engines = {
-        "vectorized": simulate_inference,
-        "reference": simulate_inference_reference,
-    }
-    if engine not in engines:
-        raise ValueError(f"engine must be one of {sorted(engines)}, got {engine!r}")
-    run_engine = engines[engine]
     rng = np.random.default_rng(seed)
     from repro.trace.markov import MarkovRoutingModel
 
@@ -124,7 +111,7 @@ def compare_modes(
     results: dict[str, RunResult] = {}
     for label, (mode, placement) in runs.items():
         cfg = dataclasses.replace(infer, mode=mode)
-        results[label] = run_engine(
+        results[label] = simulate_inference(
             model, cluster, cfg, placement, workload, cost_model
         )
 

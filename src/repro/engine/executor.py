@@ -7,42 +7,38 @@ decisions and the expert placement, expert FFNs run, and (vanilla mode
 only) a combine Alltoall returns tokens home.  Times are per-op maxima over
 GPUs (SPMD barrier semantics) summed across layers and iterations.
 
-Token movement is the whole story:
+Token movement is the whole story, and :func:`route_counts` is the one
+place outside the loop oracle (:mod:`repro.engine.reference`) that writes
+its rules (paper Fig 4): where a token sits when each layer dispatches,
+and how many tokens each step moves between each pair of GPUs.  This
+engine and the serving layer's per-step timer
+(:class:`repro.engine.serving.PlacementStepTimer`) both count through it
+and keep their float arithmetic to themselves.
 
-* **vanilla** — tokens live at their home GPU; every layer is
-  home -> expert-GPU -> home (two Alltoalls).
-* **context-coherent** — tokens *stay where routing sends them*; a layer
-  moves a token only if its next expert lives elsewhere (one Alltoall), and
-  a per-iteration AllGather keeps contexts coherent.
-* **exflow** — identical engine path to context-coherent; the placement
-  (affinity-optimised) is what concentrates traffic on the diagonal.
+Unlike the oracle, this engine never walks (iteration, layer) pairs in
+Python to *compute* costs.  Token locations carry no sequential state, so
+for each block of whole iterations the engine
 
-Unlike the step-by-step oracle in :mod:`repro.engine.reference`, this
-engine never walks (iteration, layer) pairs in Python to *compute* costs.
-The key observation is that token locations carry no sequential state: a
-token's location when layer ``j`` dispatches is its home GPU (vanilla) or
-the GPU of its layer ``j-1`` expert (coherent modes), both of which are
-pure functions of the placement and the routing paths.  So the engine
-
-1. precomputes the full (iterations, requests, layers) GPU-path tensor in
-   one fancy-index pass over ``placement.gpu_of``,
-2. derives every step's resident/FFN token counts with one batched
-   ``bincount`` over the flattened (step, gpu) key space,
-3. builds all dispatch/combine (G, G) traffic matrices as one stacked
-   (T, G, G) tensor per traffic component (again one ``bincount``), and
-4. prices the whole stack with the batched collective costing in
-   :mod:`repro.cluster.collectives`, whose round loops run once across the
-   batch instead of once per step.
+1. looks up the (iterations, requests, layers) GPU-path tensor in one
+   fancy-index pass over ``placement.gpu_of``,
+2. counts every step's resident and FFN tokens and every (step, src, dst)
+   dispatch/combine route with one :func:`route_counts` call, and
+3. prices the block's stacked (T, G, G) traffic with the batched
+   collective costing in :mod:`repro.cluster.collectives`, whose round
+   loops run once across the batch instead of once per step.
 
 Only trivially cheap scalar accumulation (to preserve the oracle's exact
-float-addition order) remains in Python.  Traffic stacks are chunked along
-the step axis so peak memory stays bounded at a few tens of MB regardless
-of generation length.  The result is bit-identical to the reference loop
-engine — the equivalence suite asserts this — at one-to-two orders of
-magnitude lower wall time.
+float-addition order) remains in Python.  Blocks are bounded by
+``_MAX_STACK_ELEMENTS`` so peak memory stays flat regardless of generation
+length.  The result is bit-identical to the reference loop engine — the
+equivalence suite asserts this — at one-to-two orders of magnitude lower
+wall time.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -55,23 +51,97 @@ from repro.engine.costs import CostModel
 from repro.engine.metrics import OpBreakdown, RunResult
 from repro.engine.workload import DecodeWorkload
 
-__all__ = ["simulate_inference", "validate_inference_inputs"]
+__all__ = ["route_counts", "simulate_inference", "validate_inference_inputs"]
 
-# Traffic stacks are built in blocks of at most this many float64 elements
-# (~32 MiB) so huge runs (long generation on many GPUs) never materialise
-# an unbounded (T, G, G) tensor.
-_MAX_STACK_ELEMENTS = 1 << 22
+# A block of whole iterations holds at most this many token routes plus
+# (step, src, dst) Alltoall entries, so a long run on many GPUs never
+# materialises its whole (T, G, G) traffic stack at once.
+_MAX_STACK_ELEMENTS = 1 << 18
 
 
-def _traffic_from_moves(
-    src: np.ndarray, dst: np.ndarray, num_gpus: int, bytes_per_token: float
-) -> np.ndarray:
-    """(G, G) byte matrix from per-token source/destination GPU ranks."""
-    flat = src * num_gpus + dst
-    counts = np.bincount(flat, minlength=num_gpus * num_gpus).reshape(num_gpus, num_gpus)
-    traffic = counts.astype(np.float64) * bytes_per_token
-    np.fill_diagonal(traffic, 0.0)  # same-GPU moves are free memcpys
-    return traffic
+@functools.lru_cache(maxsize=64)
+def _key_bases(
+    lead: tuple[int, ...], layers: int, g: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only bincount key bases of :func:`route_counts` for one shape.
+
+    Step ``t = it * layers + j`` of ``T`` gets ``t * g`` (resident),
+    ``T * g + t * g`` (FFN) and ``2 * T * g + t * g * g`` (dispatch),
+    shaped ``(*lead, 1, layers)`` to broadcast over the requests axis.
+    """
+    steps = math.prod(lead) * layers
+    row = np.arange(steps, dtype=np.int64).reshape(*lead, 1, layers) * g
+    bases = (row, steps * g + row, 2 * steps * g + row * g)
+    for base in bases:
+        base.flags.writeable = False
+    return bases
+
+
+def route_counts(
+    gpu_path: np.ndarray,
+    home: np.ndarray,
+    sec_path: np.ndarray | None,
+    coherent: bool,
+    g: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where tokens sit and how many move, for a block of decode steps.
+
+    The token-movement rules of paper Fig 4, written once for the batched
+    engine and the per-step timer:
+
+    * **vanilla** — every layer dispatches from the token's home GPU to its
+      expert's GPU, and a combine Alltoall brings it home again.
+    * **coherent** (context-coherent and exflow) — a token stays where its
+      last expert ran: layer 0 dispatches from home, layer ``j`` from the
+      GPU of the layer ``j-1`` expert.  There is no combine; the caller
+      charges the per-iteration context AllGather.
+    * **top-2** — the secondary expert receives its payload from the
+      token's location and sends its output to the primary expert's GPU,
+      where the combination happens, so a vanilla combine still carries
+      one token home.
+
+    ``gpu_path`` is the GPU of each token's primary expert, ``(B, L)`` for
+    one iteration or ``(I, R, L)`` for a block of iterations, with step
+    ``t = it * L + j``; ``sec_path`` (same shape) is the secondary
+    expert's GPU under top-2 gating, else ``None``; ``home`` is each
+    request's home GPU.  Returns, all int64:
+
+    * ``loc`` — the GPU each token sits on when its layer dispatches,
+      shaped like ``gpu_path`` (coherent) or ``home[:, None]`` (vanilla:
+      home at every layer), which broadcasts against it;
+    * ``occupancy`` — ``(2, T, G)``: resident tokens (which run attention
+      and gating) and FFN tokens per (step, GPU);
+    * ``a2a`` — ``(n * T, G * G)``: tokens from ``src`` to ``dst`` at
+      ``src * G + dst``, one row per step of the dispatch Alltoall, then,
+      in vanilla mode (``n == 2``), one per step of the combine; the
+      diagonal is zero, since same-GPU moves are free memcpys.
+    """
+    *lead, _, layers = gpu_path.shape
+    row, ffn, pair = _key_bases(tuple(lead), layers, g)
+    steps = row.size
+    home_col = home[:, None]
+    if coherent:
+        loc = np.empty_like(gpu_path)
+        loc[..., 0] = home
+        loc[..., 1:] = gpu_path[..., :-1]
+    else:
+        loc = home_col
+
+    # one bincount counts every route, in blocks at offsets 0: resident
+    # (step, gpu), TG: FFN (step, gpu), 2TG: dispatch (step, src, dst) and,
+    # vanilla only, 2TG + TG²: combine (step, src, dst)
+    keys = [row + loc, ffn + gpu_path, pair + loc * g + gpu_path]
+    if sec_path is not None:
+        keys += [ffn + sec_path, pair + loc * g + sec_path, pair + sec_path * g + gpu_path]
+    n = 1 if coherent else 2
+    if not coherent:
+        keys.append(pair + steps * g * g + gpu_path * g + home_col)
+    counts = np.bincount(
+        np.concatenate(keys).ravel(), minlength=steps * (2 * g + n * g * g)
+    )
+    a2a = counts[2 * steps * g :].reshape(n * steps, g * g)
+    a2a[:, :: g + 1] = 0
+    return loc, counts[: 2 * steps * g].reshape(2, steps, g), a2a
 
 
 def validate_inference_inputs(
@@ -179,75 +249,23 @@ def simulate_inference(
     mode = infer.mode
     g = cluster.num_gpus
     token_bytes = cost.token_bytes(infer.dtype_bytes)
-    top2 = model.gating.k == 2 and workload.secondary_paths is not None
+    sec_paths = workload.secondary_paths if model.gating.k == 2 else None
     coherent = mode.uses_context_coherence
 
     home = workload.home_gpu
     r = workload.num_requests
     layers = model.num_moe_layers
     iters = workload.iterations
-    steps = iters * layers
-
-    # ---- phase 1: per-step (T, R) GPU-path tensors --------------------------
-    # gpu_path[it, rq, j] = GPU holding request rq's layer-j expert at iter it
     layer_idx = np.arange(layers)
-    gpu_path = placement.gpu_of[layer_idx[None, None, :], workload.paths]  # (I, R, L)
-    if top2:
-        sec_path = placement.gpu_of[layer_idx[None, None, :], workload.secondary_paths]
+    node_of = topo.node_of_gpu
 
-    # token location when each layer's dispatch begins — a pure function of
-    # the previous layer's expert GPU (coherent) or the home GPU (vanilla)
-    if coherent:
-        loc = np.empty((iters, r, layers), dtype=np.int64)
-        loc[:, :, :1] = home[None, :, None]
-        loc[:, :, 1:] = gpu_path[:, :, :-1]
-    else:
-        loc = np.broadcast_to(home[None, :, None], (iters, r, layers))
-
-    def step_major(a: np.ndarray) -> np.ndarray:
-        """(I, R, L) -> (T, R) with step index t = it * L + j."""
-        return np.ascontiguousarray(a.transpose(0, 2, 1)).reshape(steps, r)
-
-    loc_s = step_major(loc)
-    exp_s = step_major(gpu_path)
-    sec_s = step_major(sec_path) if top2 else None
-
-    # ---- phase 2: batched token counts --------------------------------------
-    def batched_counts(ranks_s: np.ndarray) -> np.ndarray:
-        """Per-step occupancy: (T, R) rank tensor -> (T, G) token counts."""
-        keys = np.arange(steps, dtype=np.int64)[:, None] * g + ranks_s
-        return np.bincount(keys.ravel(), minlength=steps * g).reshape(steps, g)
-
-    resident_counts = batched_counts(loc_s)
-    ffn_counts = batched_counts(exp_s)
-    if top2:
-        ffn_counts = ffn_counts + batched_counts(sec_s)
-    resident_max = resident_counts.max(axis=1) if steps else np.zeros(0, dtype=np.int64)
-    ffn_max = ffn_counts.max(axis=1) if steps else np.zeros(0, dtype=np.int64)
-
-    # ---- phase 3: per-step compute times (lockstep maxima) ------------------
     # identical elementwise arithmetic to CostModel.{attention,gating,ffn}_time
     ctx_flops = np.array(
         [cost.attention_flops(workload.prompt_len + it) for it in range(iters)]
     )
-    att_steps = (
-        resident_max.reshape(iters, layers)
-        * ctx_flops[:, None]
-        / (cost.gpu_flops * cost.attention_efficiency)
-    ).ravel()
-    gat_steps = resident_max * cost.gating_flops() / (cost.gpu_flops * cost.gating_efficiency)
-    ffn_steps = ffn_max * cost.ffn_flops() / (cost.gpu_flops * cost.ffn_efficiency)
 
-    # ---- phase 4: locality bookkeeping --------------------------------------
-    node_of = topo.node_of_gpu
-    moved = exp_s != loc_s
-    crossed_node = node_of[exp_s] != node_of[loc_s]
-    same_gpu_transitions = int((~moved).sum())
-    same_node_transitions = int((~crossed_node).sum())
-    total_transitions = steps * r
-
-    # ---- phase 5: stacked traffic matrices + batched collective costing -----
     attention_s = gating_s = ffn_s = alltoall_s = allgather_s = 0.0
+    same_gpu_transitions = same_node_transitions = 0
 
     if coherent:
         prompt_payload = np.bincount(home, minlength=g).astype(np.float64)
@@ -257,67 +275,52 @@ def simulate_inference(
         step_res = allgather_cost(topo, step_payload)
         ledger.record(prompt_res, "allgather")
         allgather_s += prompt_res.time_s
-    else:
-        home_s = np.broadcast_to(home[None, :], (steps, r))
 
-    def traffic_stacks(sl: slice) -> tuple[np.ndarray, np.ndarray | None]:
-        """Dispatch (and vanilla combine) traffic for a block of steps."""
-        n = loc_s[sl].shape[0]
-        base = np.arange(n, dtype=np.int64)[:, None] * (g * g)
-        diag = np.arange(g)
+    n_a2a = 1 if coherent else 2
+    block = max(1, _MAX_STACK_ELEMENTS // ((r + n_a2a * g * g) * layers))
+    for i0 in range(0, iters, block):
+        its = slice(i0, i0 + block)
+        # gpu_path[it, rq, j] = GPU holding request rq's layer-j expert
+        gpu_path = placement.gpu_of[layer_idx, workload.paths[its]]
+        n_its = gpu_path.shape[0]
+        sec_path = None if sec_paths is None else placement.gpu_of[layer_idx, sec_paths[its]]
+        loc, occupancy, a2a = route_counts(gpu_path, home, sec_path, coherent, g)
 
-        def stack(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-            keys = (base + src * g + dst).ravel()
-            counts = np.bincount(keys, minlength=n * g * g).reshape(n, g, g)
-            out = counts.astype(np.float64) * token_bytes
-            out[:, diag, diag] = 0.0  # same-GPU moves are free memcpys
-            return out
+        # locality bookkeeping (transition = a potential token move)
+        same_gpu_transitions += int((gpu_path == loc).sum())
+        same_node_transitions += int((node_of[gpu_path] == node_of[loc]).sum())
 
-        dispatch = stack(loc_s[sl], exp_s[sl])
-        if top2:
-            # secondary expert: payload out and result back to primary
-            dispatch += stack(loc_s[sl], sec_s[sl])
-            dispatch += stack(sec_s[sl], exp_s[sl])
-        combine = None
-        if not coherent:
-            # combine Alltoall: expert GPU -> home.  Under top-2 the
-            # secondary expert's output was already returned to the primary
-            # expert's GPU during dispatch (Fig 4: combination happens at
-            # the primary), so exactly one combined token travels home.
-            combine = stack(exp_s[sl], home_s[sl])
-        return dispatch, combine
-
-    block = max(1, _MAX_STACK_ELEMENTS // (g * g))
-    for t0 in range(0, steps, block):
-        sl = slice(t0, min(t0 + block, steps))
-        dispatch, combine = traffic_stacks(sl)
-        dispatch_res = alltoall_matrix(topo, dispatch)
-        combine_res = alltoall_matrix(topo, combine) if combine is not None else None
+        # per-step compute times (lockstep maxima) and batched Alltoalls
+        resident_max, ffn_max = occupancy.max(axis=2)
+        att_steps = (
+            resident_max.reshape(n_its, layers)
+            * ctx_flops[its, None]
+            / (cost.gpu_flops * cost.attention_efficiency)
+        ).ravel()
+        gat_steps = resident_max * cost.gating_flops() / (cost.gpu_flops * cost.gating_efficiency)
+        ffn_steps = ffn_max * cost.ffn_flops() / (cost.gpu_flops * cost.ffn_efficiency)
+        traffic = a2a.astype(np.float64) * token_bytes
+        a2a_res = alltoall_matrix(topo, traffic.reshape(-1, g, g))
 
         # scalar accumulation in the oracle's exact order
-        for i, t in enumerate(range(sl.start, sl.stop)):
-            attention_s += att_steps[t]
-            gating_s += gat_steps[t]
-            res = dispatch_res[i]
-            ledger.record(res, "alltoall")
-            alltoall_s += res.time_s
-            ffn_s += ffn_steps[t]
-            if combine_res is not None:
-                res = combine_res[i]
+        for i in range(n_its):
+            for t in range(i * layers, (i + 1) * layers):
+                attention_s += att_steps[t]
+                gating_s += gat_steps[t]
+                res = a2a_res[t]
                 ledger.record(res, "alltoall")
                 alltoall_s += res.time_s
-            if coherent and (t + 1) % layers == 0:
+                ffn_s += ffn_steps[t]
+                if not coherent:
+                    res = a2a_res[n_its * layers + t]
+                    ledger.record(res, "alltoall")
+                    alltoall_s += res.time_s
+            if coherent:
                 # end of iteration: coherent modes AllGather the new tokens
                 ledger.record(step_res, "allgather")
                 allgather_s += step_res.time_s
 
-    if coherent and layers == 0:
-        # degenerate MoE-free model: the per-iteration context AllGather
-        # still happens even though no layer steps exist
-        for _ in range(iters):
-            ledger.record(step_res, "allgather")
-            allgather_s += step_res.time_s
-
+    total_transitions = iters * layers * r
     breakdown = OpBreakdown(
         attention_s=attention_s,
         gating_s=gating_s,

@@ -12,6 +12,10 @@ both engines on identical inputs and asserts the batched
 :class:`~repro.engine.metrics.RunResult` bit for bit.  Use the vectorized
 engine everywhere else; this one is one-to-two orders of magnitude slower.
 
+It shares nothing with the fast path but :func:`validate_inference_inputs`:
+the token-movement rules below are written out here independently of
+:func:`repro.engine.executor.route_counts`.
+
 Fig 4 top-2 semantics (shared with the vectorized engine): the secondary
 expert receives its payload directly from the token's current location and
 sends its output to the *primary* expert's GPU, where the weighted
@@ -33,11 +37,22 @@ from repro.cluster.traffic import TrafficLedger
 from repro.config import ClusterConfig, InferenceConfig, ModelConfig
 from repro.core.placement.base import Placement
 from repro.engine.costs import CostModel
-from repro.engine.executor import _traffic_from_moves, validate_inference_inputs
+from repro.engine.executor import validate_inference_inputs
 from repro.engine.metrics import OpBreakdown, RunResult
 from repro.engine.workload import DecodeWorkload
 
 __all__ = ["simulate_inference_reference"]
+
+
+def _traffic_from_moves(
+    src: np.ndarray, dst: np.ndarray, num_gpus: int, bytes_per_token: float
+) -> np.ndarray:
+    """(G, G) byte matrix from per-token source/destination GPU ranks."""
+    flat = src * num_gpus + dst
+    counts = np.bincount(flat, minlength=num_gpus * num_gpus).reshape(num_gpus, num_gpus)
+    traffic = counts.astype(np.float64) * bytes_per_token
+    np.fill_diagonal(traffic, 0.0)  # same-GPU moves are free memcpys
+    return traffic
 
 
 def simulate_inference_reference(

@@ -54,7 +54,7 @@ from repro.core.placement.base import Placement
 from repro.core.placement.registry import solve_placement
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.costs import CostModel
-from repro.engine.executor import simulate_inference
+from repro.engine.executor import route_counts, simulate_inference
 from repro.engine.workload import DecodeWorkload, DriftScenario, make_decode_workload
 from repro.obs.recorder import MetricsRecorder, TeeRecorder
 from repro.trace.events import int64_array
@@ -315,9 +315,10 @@ class PlacementStepTimer:
     one-time prompt AllGather, which :meth:`admission_time` prices
     separately (the fleet engines charge it when requests join the batch).
 
-    A step counts all its token routes with one integer bincount, and
-    prices each layer's Alltoall from an exact memo keyed on that layer's
-    (G, G) token counts; AllGathers are memoised by payload.  Misses go
+    A step counts all its token routes with one
+    :func:`~repro.engine.executor.route_counts` call, and prices each
+    layer's Alltoall from an exact memo keyed on that layer's (G, G) token
+    counts; AllGathers are memoised by payload.  Misses go
     through the module-global collectives, and each memo is cleared when
     it reaches ``_MEMO_CAP`` entries.
     """
@@ -345,11 +346,9 @@ class PlacementStepTimer:
         self._allgather_memo: dict[bytes, float] = {}
         # Alltoall seconds by one layer's int64 (G, G) token counts
         self._alltoall_memo: dict[bytes, float] = {}
-        # per-layer key bases of step_time's bincount blocks
-        L, g = model.num_moe_layers, cluster.num_gpus
-        self._layers = np.arange(L, dtype=np.int64)[None, :]
-        self._row = self._layers * g
-        self._pair = 2 * L * g + self._row * g
+        # layer indices, and (layer, gpu) keys of the attention bincount
+        self._layers = np.arange(model.num_moe_layers, dtype=np.int64)[None, :]
+        self._row = self._layers * cluster.num_gpus
 
     def _allgather_s(self, payload: np.ndarray) -> float:
         """Seconds of one context AllGather of ``payload``, memoised exactly.
@@ -443,60 +442,36 @@ class PlacementStepTimer:
         if placement.num_gpus != self.cluster.num_gpus:
             raise ValueError("placement GPU count does not match cluster")
 
-        b, L = paths.shape
+        L = paths.shape[1]
         g = self.cluster.num_gpus
-        lg = L * g
         cost = self.cost
         gpu_path = placement.gpu_of[self._layers, paths]  # (B, L)
-        top2 = secondary_paths is not None and self.model.gating.k == 2
-        if top2:
+        sec_path: np.ndarray | None = None
+        if secondary_paths is not None and self.model.gating.k == 2:
             sec = int64_array(secondary_paths, "secondary_paths")
             if sec.shape != paths.shape:
                 raise ValueError("secondary_paths must match paths shape")
             sec_path = placement.gpu_of[self._layers, sec]
-
-        if self.coherent:
-            loc = np.empty((b, L), dtype=np.int64)
-            loc[:, 0] = home
-            loc[:, 1:] = gpu_path[:, :-1]
-        else:
-            loc = np.broadcast_to(home[:, None], (b, L))
-
-        # one integer bincount counts every route, in blocks at offsets
-        # 0: resident tokens (layer, gpu), LG: FFN tokens (layer, gpu),
-        # 2LG: dispatch (layer, src, dst) and, vanilla only,
-        # 2LG + LG²: combine (layer, src, dst)
-        row, pair = self._row, self._pair
-        resident = row + loc
-        keys = [resident, lg + row + gpu_path, pair + loc * g + gpu_path]
-        if top2:
-            keys += [lg + row + sec_path, pair + loc * g + sec_path, pair + sec_path * g + gpu_path]
-        if not self.coherent:
-            keys.append(pair + lg * g + gpu_path * g + home[:, None])
-        blocks = 1 if self.coherent else 2
-        counts = np.bincount(np.concatenate(keys).ravel(), minlength=2 * lg + blocks * lg * g)
+        loc, occupancy, a2a = route_counts(gpu_path, home, sec_path, self.coherent, g)
 
         # compute: lockstep per-GPU maxima per layer, attention priced per
         # token at its own context length (weighted bincount, b-major like
-        # the keys); the integer maxima sums are exact
+        # loc); the integer maxima sums are exact
         att_flops = np.asarray(cost.attention_flops(ctx), dtype=np.float64)
         att_per = np.bincount(
-            resident.ravel(), weights=np.repeat(att_flops, L), minlength=lg
+            (self._row + loc).ravel(), weights=np.repeat(att_flops, L), minlength=L * g
         ).reshape(L, g)
         attention_s = float(
             att_per.max(axis=1).sum() / (cost.gpu_flops * cost.attention_efficiency)
         )
-        resident_max, ffn_max = counts[: 2 * lg].reshape(2, L, g).max(axis=2).sum(axis=1)
+        resident_max, ffn_max = occupancy.max(axis=2).sum(axis=1)
         gating_s = float(
             resident_max * cost.gating_flops() / (cost.gpu_flops * cost.gating_efficiency)
         )
         ffn_s = float(ffn_max * cost.ffn_flops() / (cost.gpu_flops * cost.ffn_efficiency))
 
         # communication: per-layer dispatch Alltoall (+ combine for vanilla),
-        # plus the coherent modes' one per-iteration context AllGather; the
-        # pairwise rounds never read the diagonal (tokens that stay local)
-        a2a = counts[2 * lg :].reshape(blocks * L, g * g)
-        a2a[:, :: g + 1] = 0
+        # plus the coherent modes' one per-iteration context AllGather
         layer_s = self._alltoall_s(a2a)
         comm_s = sum(layer_s[:L])
         if self.coherent:

@@ -458,9 +458,8 @@ class TimelineRecorder(MetricsRecorder):
         r = self._reps[rid]
         r.state = "stopped"
         r.stopped_s = t_s
-        if r.drain_from_s is not None and self._span(
-            "drain", rid, r.drain_from_s, t_s - r.drain_from_s
-        ):
+        if r.drain_from_s is not None:
+            self._span("drain", rid, r.drain_from_s, t_s - r.drain_from_s)
             r.drain_from_s = None
 
     def on_enqueue(self, t_s: float, rid: int, req_id: int) -> None:
@@ -609,9 +608,8 @@ class TimelineRecorder(MetricsRecorder):
         if not self._windows or self._windows[-1][0] < t_s:
             self._emit_boundary(t_s)  # final (possibly partial) window
         for r in self._reps:
-            if r.drain_from_s is not None and self._span(
-                "drain", r.rid, r.drain_from_s, t_s - r.drain_from_s
-            ):
+            if r.drain_from_s is not None:
+                self._span("drain", r.rid, r.drain_from_s, t_s - r.drain_from_s)
                 r.drain_from_s = None
         for rid in sorted(self._open_outage):  # unrecovered failures span to run end
             self._span("outage", rid, self._open_outage[rid], t_s - self._open_outage[rid])

@@ -126,14 +126,24 @@ class TestEquivalence:
     def test_chunked_traffic_stacks(
         self, mode, monkeypatch, gated_model, small_cluster, small_infer, gated_workload
     ):
-        """Force tiny stack blocks so chunk boundaries cross iterations."""
+        """Force one-iteration blocks, so block edges fall between iterations."""
         monkeypatch.setattr(executor_mod, "_MAX_STACK_ELEMENTS", 1)
+        real = executor_mod.route_counts
+        blocks = []
+
+        def counting(gpu_path, *args):
+            blocks.append(gpu_path.shape[0])
+            return real(gpu_path, *args)
+
+        monkeypatch.setattr(executor_mod, "route_counts", counting)
         placement = vanilla_placement(
             gated_model.num_moe_layers, gated_model.num_experts, small_cluster.num_gpus
         )
         cfg = dataclasses.replace(small_infer, mode=mode)
         vec, ref = both(gated_model, small_cluster, cfg, placement, gated_workload)
         assert_bit_identical(vec, ref)
+        assert blocks == [1] * gated_workload.iterations
+        assert len(blocks) >= 2
 
     def test_custom_cost_model(self, small_model, small_cluster, small_infer):
         from repro.engine.costs import CostModel
@@ -153,24 +163,25 @@ class TestEquivalence:
 
 
 class TestCompareModesEngines:
-    def test_engine_switch_identical(self, small_model, small_cluster, small_infer):
-        from repro.engine.comparison import compare_modes
+    def test_engine_switch_identical(
+        self, monkeypatch, small_model, small_cluster, small_infer
+    ):
+        """The whole compare_modes pipeline, rerun on the loop oracle."""
+        from repro.engine import comparison
 
-        fast = compare_modes(
-            small_model, small_cluster, small_infer, seed=11, engine="vectorized"
-        )
-        slow = compare_modes(
-            small_model, small_cluster, small_infer, seed=11, engine="reference"
-        )
+        calls = []
+
+        def oracle(*args):
+            calls.append(args[2].mode)
+            return simulate_inference_reference(*args)
+
+        fast = comparison.compare_modes(small_model, small_cluster, small_infer, seed=11)
+        monkeypatch.setattr(comparison, "simulate_inference", oracle)
+        slow = comparison.compare_modes(small_model, small_cluster, small_infer, seed=11)
+        assert len(calls) == len(fast) == 3
         for label in fast:
             assert_bit_identical(fast[label].result, slow[label].result)
             assert fast[label].speedup == slow[label].speedup
-
-    def test_unknown_engine_rejected(self, small_model, small_cluster, small_infer):
-        from repro.engine.comparison import compare_modes
-
-        with pytest.raises(ValueError, match="engine"):
-            compare_modes(small_model, small_cluster, small_infer, engine="warp")
 
 
 class TestValidation:

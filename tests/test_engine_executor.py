@@ -6,10 +6,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ExecutionMode, GatingKind, InferenceConfig
 from repro.core.placement.vanilla import vanilla_placement
-from repro.engine.executor import _traffic_from_moves, simulate_inference
+from repro.engine.executor import _key_bases, route_counts, simulate_inference
+from repro.engine.reference import _traffic_from_moves
 from repro.engine.workload import DecodeWorkload, make_decode_workload
 
 
@@ -40,6 +43,64 @@ class TestTrafficFromMoves:
         assert t[1, 1] == 0.0
         assert t[2, 0] == 10.0
         assert t.sum() == 20.0
+
+
+class TestRouteCounts:
+    """The Fig 4 route-count kernel against a per-step brute force."""
+
+    # fixed seed and a short budget: every run draws the same examples
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        g=st.sampled_from([1, 2, 4, 8]),
+        coherent=st.booleans(),
+        top2=st.booleans(),
+        iteration_block=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_step_brute_force(self, g, coherent, top2, iteration_block, seed):
+        rng = np.random.default_rng(seed)
+        iters, r, layers = (int(n) for n in rng.integers(1, [4, 9, 5]))
+        # (I, R, L) for a block of iterations, (B, L) for one serving step
+        shape = (iters, r, layers) if iteration_block else (r, layers)
+        gpu_path = rng.integers(0, g, size=shape)
+        sec_path = rng.integers(0, g, size=shape) if top2 else None
+        home = rng.integers(0, g, size=r)
+        loc, occupancy, a2a = route_counts(gpu_path, home, sec_path, coherent, g)
+
+        per_it = gpu_path.reshape(-1, r, layers)
+        locs = np.broadcast_to(loc, shape).reshape(per_it.shape)
+        secs = None if sec_path is None else sec_path.reshape(per_it.shape)
+        steps = per_it.shape[0] * layers
+        assert loc.shape == (shape if coherent else (r, 1))
+        assert occupancy.shape == (2, steps, g)
+        assert a2a.shape == ((1 if coherent else 2) * steps, g * g)
+        a2a = a2a.reshape(-1, steps, g, g)
+        for it in range(per_it.shape[0]):
+            here = home
+            for j in range(layers):
+                t = it * layers + j
+                expert = per_it[it, :, j]
+                np.testing.assert_array_equal(locs[it, :, j], here)
+                np.testing.assert_array_equal(occupancy[0, t], np.bincount(here, minlength=g))
+                ffn = np.bincount(expert, minlength=g)
+                dispatch = _traffic_from_moves(here, expert, g, 1.0)
+                if secs is not None:
+                    sec = secs[it, :, j]
+                    ffn += np.bincount(sec, minlength=g)
+                    dispatch += _traffic_from_moves(here, sec, g, 1.0)
+                    dispatch += _traffic_from_moves(sec, expert, g, 1.0)
+                np.testing.assert_array_equal(occupancy[1, t], ffn)
+                np.testing.assert_array_equal(a2a[0, t], dispatch)
+                if not coherent:
+                    combine = _traffic_from_moves(expert, home, g, 1.0)
+                    np.testing.assert_array_equal(a2a[1, t], combine)
+                here = expert if coherent else home
+
+    def test_key_bases_are_read_only(self):
+        for base in _key_bases((3,), 4, 2):
+            assert not base.flags.writeable
+            with pytest.raises(ValueError):
+                base += 1
 
 
 class TestModes:

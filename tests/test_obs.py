@@ -22,7 +22,14 @@ from repro.obs.profile import MEASURED_PHASES, PROFILE_PHASES, PhaseProfiler
 from repro.obs.detect import SignalDetector
 from repro.obs.recorder import HOOKS, MetricsRecorder, TeeRecorder, TimelineRecorder
 from repro.obs.trace import validate_chrome_trace
-from repro.scenarios import Scenario, SimReport, TelemetrySpec, run
+from repro.scenarios import (
+    Scenario,
+    SimReport,
+    TelemetrySpec,
+    get_scenario,
+    make_recorder,
+    run,
+)
 
 SMALL_CLUSTER = ClusterConfig(num_nodes=2, gpus_per_node=2)
 SMALL_SERVING = ServingConfig(
@@ -198,6 +205,21 @@ class TestTimelineRecorder:
         assert tl["totals"]["dropped_span_events"] == rec.dropped_span_events
         # timelines are unaffected by span exhaustion
         assert tl["totals"]["completed"] == 50
+
+    def test_each_refused_span_is_dropped_once(self):
+        """A capped budget drops exactly the spans an uncapped run takes
+        beyond the cap, so a drain span refused when its replica stops is
+        not retried (and counted again) at run end."""
+        bad = get_scenario("fleet-bad-day-smoke")
+        recs = {}
+        for cap in (20_000, 300, 0):
+            s = dataclasses.replace(bad, telemetry=TelemetrySpec(max_span_events=cap))
+            recs[cap] = make_recorder(s)
+            run(s, recorder=recs[cap])
+        taken = recs[20_000]._span_used
+        assert recs[20_000].dropped_span_events == 0 and taken > 300
+        assert recs[300].dropped_span_events == taken - 300
+        assert recs[0].dropped_span_events == taken
 
     def test_scale_events_survive_span_exhaustion(self):
         rec = TimelineRecorder(max_span_events=0)
