@@ -21,6 +21,7 @@ from repro.config import (
     ServingConfig,
 )
 from repro.core.placement.base import Placement
+from repro.core.placement.registry import solve_placement
 from repro.engine.metrics import LatencyStats
 from repro.core.placement.vanilla import vanilla_placement
 from repro.engine.serving import (
@@ -542,6 +543,64 @@ class TestPlacementStepTimerMemo:
                 timer.admission_time(np.array([0, 1]), np.array([4]))
         # nothing invalid reached the memo
         assert coherent._allgather_memo == {}
+
+
+def _pinned_price_calls(seed: int) -> list[tuple[str, tuple]]:
+    """Steps with batches of 1 to 64 and top-2 secondaries, plus admissions,
+    for a 12-layer, 16-expert model on a 2x4 cluster."""
+    rng = np.random.default_rng(seed)
+    calls: list[tuple[str, tuple]] = []
+    for b in [1, 2, 3, 5, 8, 13, 21, 34, 64, *rng.integers(1, 65, size=11).tolist()]:
+        paths = rng.integers(0, 16, size=(b, 12))
+        secondary = (paths + rng.integers(1, 16, size=(b, 12))) % 16
+        home = rng.integers(0, 8, size=b)
+        ctx = rng.integers(1, 2048, size=b)
+        calls.append(("step", (paths, home, ctx, secondary)))
+        calls.append(("admit", (home, rng.integers(0, 512, size=b))))
+    return calls
+
+
+class TestStepPricePin:
+    """Every step and admission float of three modes, pinned by digest.
+
+    Each mode prices one call sequence with top-1 and top-2 gating, under a
+    vanilla and an affinity-solved placement, with 12 MoE layers (enough
+    for numpy's unrolled sums) on 8 GPUs.  A refactor of the step pricer
+    must leave every float, so every digest, as it is.
+    """
+
+    @pytest.mark.parametrize(
+        ("mode", "pinned"),
+        [
+            (ExecutionMode.EXFLOW, "484145618a9f9fdb"),
+            (ExecutionMode.CONTEXT_COHERENT, "484145618a9f9fdb"),
+            (ExecutionMode.VANILLA, "0a76ba61d576c993"),
+        ],
+    )
+    def test_prices_match_pin(self, mode, pinned):
+        cluster = ClusterConfig(num_nodes=2, gpus_per_node=4)
+        routing = MarkovRoutingModel.with_affinity(
+            16, 12, affinity=0.8, rng=np.random.default_rng(3)
+        )
+        solved = solve_placement(
+            "greedy", routing.sample(2000, np.random.default_rng(4)), cluster
+        )
+        prices: list[float] = []
+        for gating in (GatingKind.TOP1, GatingKind.TOP2):
+            model = ModelConfig(
+                name="pin", num_layers=12, num_experts=16, d_model=64, num_heads=4,
+                gating=gating,
+            )
+            timer = PlacementStepTimer(model, cluster, mode=mode)
+            for placement in (vanilla_placement(12, 16, 8), solved):
+                for kind, args in _pinned_price_calls(seed=17):
+                    if kind == "step":
+                        paths, home, ctx, sec = args
+                        prices.append(timer.step_time(paths, home, ctx, placement, sec))
+                    else:
+                        prices.append(timer.admission_time(*args))
+        digest = hashlib.sha256(np.array(prices).tobytes()).hexdigest()[:16]
+        assert digest == pinned
 
 
 def _dense_step_time(timer, paths, home, ctx, placement, secondary_paths=None) -> float:
