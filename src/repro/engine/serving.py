@@ -342,25 +342,26 @@ class PlacementStepTimer:
         self.cost = cost_model or CostModel(model, gpu_flops=cluster.gpu_flops)
         self.token_bytes = self.cost.token_bytes(dtype_bytes)
         self.coherent = mode.uses_context_coherence
-        # AllGather seconds by payload bytes: few distinct payloads recur
-        self._allgather_memo: dict[bytes, float] = {}
+        # AllGather seconds by payload: few distinct payloads recur
+        self._allgather_memo: dict[tuple[float, ...], float] = {}
         # Alltoall seconds by one layer's int64 (G, G) token counts
         self._alltoall_memo: dict[bytes, float] = {}
         # layer indices, and (layer, gpu) keys of the attention bincount
         self._layers = np.arange(model.num_moe_layers, dtype=np.int64)[None, :]
         self._row = self._layers * cluster.num_gpus
 
-    def _allgather_s(self, payload: np.ndarray) -> float:
+    def _allgather_s(self, payload: Sequence[float]) -> float:
         """Seconds of one context AllGather of ``payload``, memoised exactly.
 
-        The price is a pure function of the (G,) float payload, so keying
-        on its bytes returns the very float a fresh call would.  A miss
+        The price is a pure function of the (G,) payload bytes, so keying
+        on their values returns the very float a fresh call would (an int
+        and the equal float are one key, as they are one float64).  A miss
         calls the module-global :func:`allgather_cost`.
         """
-        key = payload.tobytes()
+        key = tuple(payload)
         time_s = self._allgather_memo.get(key)
         if time_s is None:
-            time_s = allgather_cost(self.topo, payload).time_s
+            time_s = allgather_cost(self.topo, key).time_s
             _remember(self._allgather_memo, key, time_s)
         return time_s
 
@@ -379,10 +380,10 @@ class PlacementStepTimer:
         width = counts.shape[1] * counts.itemsize
         buf = counts.tobytes()
         keys = [buf[i : i + width] for i in range(0, len(buf), width)]
-        # one row per distinct missing key
-        miss = {key: i for i, key in enumerate(keys) if key not in memo}
-        if not miss:
+        try:
             return [memo[key] for key in keys]
+        except KeyError:  # one row per distinct missing key
+            miss = {key: i for i, key in enumerate(keys) if key not in memo}
         g = self.cluster.num_gpus
         traffic = counts[list(miss.values())].astype(np.float64) * self.token_bytes
         priced = {
@@ -398,7 +399,8 @@ class PlacementStepTimer:
 
     def _check_inputs(
         self, paths: np.ndarray | None, home_gpu: np.ndarray, context_lens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+        """Validated ``(paths, home, homes, ctxs)``: the last two are lists."""
         if paths is None:
             raise ValueError("PlacementStepTimer prices a step from its token paths")
         paths = int64_array(paths, "paths")
@@ -411,13 +413,15 @@ class PlacementStepTimer:
             raise ValueError("step needs at least one active request")
         if home.shape != (paths.shape[0],) or ctx.shape != (paths.shape[0],):
             raise ValueError("home_gpu and context_lens must have one entry per request")
-        if paths.min() < 0 or paths.max() >= self.model.num_experts:
+        # one reduction checks both ends: a negative id views as >= 2**63
+        if paths.view(np.uint64).max() >= self.model.num_experts:
             raise ValueError("expert id out of range")
-        if home.min() < 0 or home.max() >= self.cluster.num_gpus:
+        homes, ctxs = home.tolist(), ctx.tolist()
+        if min(homes) < 0 or max(homes) >= self.cluster.num_gpus:
             raise ValueError("home GPU rank out of range")
-        if ctx.min() < 1:
+        if min(ctxs) < 1:
             raise ValueError("context lengths must be >= 1")
-        return paths, home, ctx
+        return paths, home, homes, ctxs
 
     def step_time(
         self,
@@ -434,7 +438,7 @@ class PlacementStepTimer:
         lengths (continuous batching means they differ — attention is
         priced per token, not per lockstep iteration).
         """
-        paths, home, ctx = self._check_inputs(paths, home_gpu, context_lens)
+        paths, home, homes, ctxs = self._check_inputs(paths, home_gpu, context_lens)
         if placement.num_layers != self.model.num_moe_layers:
             raise ValueError("placement layer count does not match model")
         if placement.num_experts != self.model.num_experts:
@@ -451,36 +455,36 @@ class PlacementStepTimer:
             sec = int64_array(secondary_paths, "secondary_paths")
             if sec.shape != paths.shape:
                 raise ValueError("secondary_paths must match paths shape")
+            if sec.view(np.uint64).max() >= self.model.num_experts:
+                raise ValueError("secondary expert id out of range")
             sec_path = placement.gpu_of[self._layers, sec]
         loc, occupancy, a2a = route_counts(gpu_path, home, sec_path, self.coherent, g)
 
         # compute: lockstep per-GPU maxima per layer, attention priced per
         # token at its own context length (weighted bincount, b-major like
-        # loc); the integer maxima sums are exact
-        att_flops = np.asarray(cost.attention_flops(ctx), dtype=np.float64)
+        # loc); the integer maxima sums are exact, and a Python int times a
+        # float is the double numpy's int64 times float64 gives
+        att_flops = np.array([cost.attention_flops(c) for c in ctxs])
         att_per = np.bincount(
-            (self._row + loc).ravel(), weights=np.repeat(att_flops, L), minlength=L * g
+            (self._row + loc).ravel(), weights=att_flops.repeat(L), minlength=L * g
         ).reshape(L, g)
         attention_s = float(
             att_per.max(axis=1).sum() / (cost.gpu_flops * cost.attention_efficiency)
         )
-        resident_max, ffn_max = occupancy.max(axis=2).sum(axis=1)
-        gating_s = float(
-            resident_max * cost.gating_flops() / (cost.gpu_flops * cost.gating_efficiency)
-        )
-        ffn_s = float(ffn_max * cost.ffn_flops() / (cost.gpu_flops * cost.ffn_efficiency))
+        resident_max, ffn_max = map(sum, occupancy.max(axis=2).tolist())
+        gating_s = resident_max * cost.gating_flops() / (cost.gpu_flops * cost.gating_efficiency)
+        ffn_s = ffn_max * cost.ffn_flops() / (cost.gpu_flops * cost.ffn_efficiency)
 
         # communication: per-layer dispatch Alltoall (+ combine for vanilla),
         # plus the coherent modes' one per-iteration context AllGather
         layer_s = self._alltoall_s(a2a)
         comm_s = sum(layer_s[:L])
         if self.coherent:
-            payload = np.bincount(home, minlength=g).astype(np.float64) * self.token_bytes
-            comm_s += self._allgather_s(payload)
+            comm_s += self._allgather_s([homes.count(r) * self.token_bytes for r in range(g)])
         else:
             comm_s += sum(layer_s[L:])
 
-        return attention_s + gating_s + ffn_s + float(comm_s)
+        return attention_s + gating_s + ffn_s + comm_s
 
     def admission_time(self, home_gpu: np.ndarray, prompt_lens: np.ndarray) -> float:
         """One-time cost of admitting requests into the running batch.
@@ -504,7 +508,7 @@ class PlacementStepTimer:
         payload = np.bincount(
             home, weights=plen.astype(np.float64), minlength=self.cluster.num_gpus
         )
-        return self._allgather_s(payload * self.token_bytes)
+        return self._allgather_s((payload * self.token_bytes).tolist())
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,12 @@ def sample_paths_grouped(
     if len(regimes) == 1:  # one group: the same draws, minus the grouping
         return regimes[0].model_at(t).sample(int(regs.size), rng).paths
     paths = np.empty((regs.size, num_layers), dtype=np.int64)
-    for k in np.unique(regs):
-        idx = np.flatnonzero(regs == k)
-        paths[idx] = regimes[int(k)].model_at(t).sample(int(idx.size), rng).paths
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(regs.tolist()):
+        groups.setdefault(k, []).append(i)
+    for k in sorted(groups):
+        idx = groups[k]
+        paths[idx] = regimes[k].model_at(t).sample(len(idx), rng).paths
     return paths
 
 

@@ -802,6 +802,34 @@ class TestPlacementStepTimerIntegralInputs:
             timer.step_time(paths + 0.7, [0.2, 1.9], [5.9, 5.2], placement)
 
     @pytest.mark.parametrize(
+        ("name", "index", "value", "match"),
+        [
+            ("paths", (1, 3), -1, "expert id out of range"),
+            ("paths", (0, 0), 8, "expert id out of range"),
+            ("home_gpu", 1, -1, "home GPU rank out of range"),
+            ("home_gpu", 0, 4, "home GPU rank out of range"),
+            ("context_lens", 1, 0, "context lengths must be >= 1"),
+            # -1 used to wrap to the last expert, and 8 to raise IndexError
+            ("secondary_paths", (1, 3), -1, "secondary expert id out of range"),
+            ("secondary_paths", (0, 2), 8, "secondary expert id out of range"),
+        ],
+    )
+    def test_step_time_rejects_out_of_range(self, setup, name, index, value, match):
+        timer, placement, paths = setup
+        args = {
+            "paths": paths.copy(),
+            "home_gpu": np.array([0, 1]),
+            "context_lens": np.array([5, 5]),
+            "secondary_paths": (paths + 1) % 8,
+        }
+        timer.step_time(placement=placement, **args)
+        args[name][index] = value
+        for mode in (ExecutionMode.EXFLOW, ExecutionMode.VANILLA):
+            moded = PlacementStepTimer(timer.model, timer.cluster, mode=mode)
+            with pytest.raises(ValueError, match=match):
+                moded.step_time(placement=placement, **args)
+
+    @pytest.mark.parametrize(
         ("name", "home", "plen"),
         [("home_gpu", [0.5, 1.0], [4, 4]), ("prompt_lens", [0, 1], [4.5, 4.0]),
          ("prompt_lens", [0, 1], [4.0, np.inf])],

@@ -34,7 +34,7 @@ from repro.chaos import (
     bad_day_schedule,
 )
 from repro.obs.recorder import MetricsRecorder
-from repro.scenarios import FlashCrowdSpec
+from repro.scenarios import FlashCrowdSpec, list_scenarios
 from fleet_runs import ENGINES, fleet_result
 
 MODEL = ModelConfig(
@@ -755,3 +755,31 @@ class TestSloMonitoringEquivalence:
                 and getattr(mon, f.name) != getattr(bare, f.name)
             ]
             assert drift == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for kind in ("serving", "online") for n in list_scenarios(kind=kind, smoke=True)],
+)
+def test_one_replica_kinds_report_the_same_on_both_engines(name, monkeypatch):
+    """The serving and online kinds run on the event engine; the tick
+    engine, forced in their place, must give the very same report."""
+    import repro.scenarios.runner as runner_mod
+
+    real = runner_mod._one_replica_fleet
+    ran: list[str] = []
+    for engine, attr in (("tick", "simulate_fleet_tick"), ("event", "simulate_fleet_reference")):
+        fn = getattr(runner_mod, attr)
+        monkeypatch.setattr(
+            runner_mod, attr, lambda *a, fn=fn, engine=engine, **k: ran.append(engine) or fn(*a, **k)
+        )
+    reports = {}
+    for engine in ("tick", "event"):
+        monkeypatch.setattr(
+            runner_mod,
+            "_one_replica_fleet",
+            lambda s, engine=engine: dataclasses.replace(real(s), engine=engine),
+        )
+        reports[engine] = runner_mod.run(name).to_dict()
+    assert ran == ["tick", "event"]
+    assert reports["tick"] == reports["event"]
