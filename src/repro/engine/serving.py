@@ -361,7 +361,7 @@ class PlacementStepTimer:
         key = tuple(payload)
         time_s = self._allgather_memo.get(key)
         if time_s is None:
-            time_s = allgather_cost(self.topo, key).time_s
+            time_s = allgather_cost(self.topo, np.array(key, dtype=np.float64)).time_s
             _remember(self._allgather_memo, key, time_s)
         return time_s
 

@@ -197,8 +197,7 @@ def sample_paths_grouped(
     groups: dict[int, list[int]] = {}
     for i, k in enumerate(regs.tolist()):
         groups.setdefault(k, []).append(i)
-    for k in sorted(groups):
-        idx = groups[k]
+    for k, idx in sorted(groups.items()):
         paths[idx] = regimes[k].model_at(t).sample(len(idx), rng).paths
     return paths
 

@@ -768,11 +768,16 @@ def test_one_replica_kinds_report_the_same_on_both_engines(name, monkeypatch):
 
     real = runner_mod._one_replica_fleet
     ran: list[str] = []
+
+    def counted(engine, fn):
+        def call(*args, **kwargs):
+            ran.append(engine)
+            return fn(*args, **kwargs)
+
+        return call
+
     for engine, attr in (("tick", "simulate_fleet_tick"), ("event", "simulate_fleet_reference")):
-        fn = getattr(runner_mod, attr)
-        monkeypatch.setattr(
-            runner_mod, attr, lambda *a, fn=fn, engine=engine, **k: ran.append(engine) or fn(*a, **k)
-        )
+        monkeypatch.setattr(runner_mod, attr, counted(engine, getattr(runner_mod, attr)))
     reports = {}
     for engine in ("tick", "event"):
         monkeypatch.setattr(
